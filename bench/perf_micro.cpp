@@ -460,8 +460,8 @@ runSimKernelSweep()
  * Compile-path sweep over the placement/routing kernels guarded by CI:
  * pruned VF2 enumeration, the bounded top-K placement search, SWAP
  * routing from a spread-out placement, and ensemble candidate
- * generation. Emits one JSON object per line to BENCH_compile.json,
- * `per_cal`-normalized exactly like the sim sweep.
+ * generation and selection. Emits one JSON object per line to
+ * BENCH_compile.json, `per_cal`-normalized exactly like the sim sweep.
  */
 void
 runCompileSweep()
@@ -593,19 +593,11 @@ runCompileSweep()
                          builder.candidates(logical));
                  },
                  5, 1));
-        // The same materialization fanned over 4 workers — tracks
-        // parallel scoring/materialization cost (scaling on many-core
-        // hosts, bounded fan-out overhead on single-core runners).
-        const runtime::JobScheduler sched(4);
-        core::EnsembleConfig config;
-        config.scheduler = &sched;
-        const core::EnsembleBuilder parallel_builder(device, config);
-        emit("ensemble_candidates_bv6_j4",
+        // build(), the call the EDM pipeline makes: rank every qubit
+        // set, materialize only the members it returns.
+        emit("ensemble_build_bv6",
              timeBestNs(
-                 [&] {
-                     benchmark::DoNotOptimize(
-                         parallel_builder.candidates(logical));
-                 },
+                 [&] { benchmark::DoNotOptimize(builder.build(logical)); },
                  5, 1));
     }
 }

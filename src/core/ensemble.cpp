@@ -1,15 +1,17 @@
 #include "core/ensemble.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <set>
+#include <cstdint>
+#include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/esp_model.hpp"
-#include "transpile/placement_search.hpp"
 #include "transpile/vf2.hpp"
 
 namespace qedm::core {
@@ -19,17 +21,16 @@ using transpile::CompiledProgram;
 namespace {
 
 /**
- * One isomorphic transfer before materialization: the full relabeling,
- * the relabeled initial map (the deterministic tie-break key), and the
- * exact trace-scored ESP. Cheap to build and sort; the physical
- * circuit is only materialized for candidates that survive the
- * automorphism dedup.
+ * The kept isomorphic transfer of one distinct qubit set: the full
+ * relabeling, the relabeled initial map (the deterministic tie-break
+ * key), the exact trace-scored ESP, and the set itself as a bitmask.
+ * The physical circuit is only built for the rows a policy returns.
  */
 struct CandidateRecord
 {
     std::vector<int> relabel;
     std::vector<int> initialMap;
-    std::vector<int> usedSet; ///< sorted embedding targets (dedup key)
+    std::uint64_t usedMask = 0; ///< embedding targets, bit q = qubit q
     double esp = 0.0;
 };
 
@@ -44,6 +45,187 @@ candidateBefore(const CandidateRecord &a, const CandidateRecord &b)
     if (a.initialMap != b.initialMap)
         return a.initialMap < b.initialMap;
     return a.relabel < b.relabel;
+}
+
+/** Fraction of @p a's qubits also present in @p b. */
+double
+overlapFraction(std::uint64_t a, std::uint64_t b)
+{
+    return static_cast<double>(std::popcount(a & b)) /
+           static_cast<double>(std::popcount(a));
+}
+
+/**
+ * One build's candidates: the compiled seed plus one row per distinct
+ * qubit set, sorted by candidateBefore. Rows are materialized (and
+ * verified) one at a time, on demand.
+ */
+struct Ranking
+{
+    const hw::DeviceView &view;
+    const circuit::Circuit &logical;
+    bool verify;
+    CompiledProgram seed;
+    std::vector<CandidateRecord> rows;
+
+    /** The isomorphic transfer of the seed onto row @p i. */
+    CompiledProgram
+    member(std::size_t i) const
+    {
+        const CandidateRecord &rec = rows[i];
+        CompiledProgram out;
+        out.physical = seed.physical.remapQubits(
+            rec.relabel, view.device().numQubits());
+        out.initialMap = rec.initialMap;
+        out.finalMap.reserve(seed.finalMap.size());
+        for (int p : seed.finalMap)
+            out.finalMap.push_back(rec.relabel[p]);
+        out.swapCount = seed.swapCount;
+        out.esp = rec.esp;
+        // Isomorphic transfer must preserve validity; verify every
+        // member the builder hands out, not just the compiled seed.
+        if (verify) {
+            check::ProgramView pv;
+            pv.physical = &out.physical;
+            pv.initialMap = &out.initialMap;
+            pv.finalMap = &out.finalMap;
+            pv.swapCount = out.swapCount;
+            pv.esp = out.esp;
+            pv.device = &view.device();
+            pv.logical = &logical;
+            pv.region = &view;
+            check::verifyProgram(pv);
+        }
+        return out;
+    }
+
+    std::vector<CompiledProgram>
+    members(const std::vector<std::size_t> &picks) const
+    {
+        std::vector<CompiledProgram> out;
+        out.reserve(picks.size());
+        for (std::size_t i : picks)
+            out.push_back(member(i));
+        return out;
+    }
+
+    /** Row indices 0 .. @p n - 1. */
+    static std::vector<std::size_t>
+    prefix(std::size_t n)
+    {
+        std::vector<std::size_t> out(n);
+        std::iota(out.begin(), out.end(), std::size_t{0});
+        return out;
+    }
+};
+
+Ranking
+rankCandidates(const hw::DeviceView &view, const EnsembleConfig &config,
+               const circuit::Circuit &logical)
+{
+    transpile::Transpiler compiler(view, config.routeCost,
+                                   config.verifyPasses);
+    compiler.setScheduler(config.scheduler);
+    std::shared_ptr<const CompiledProgram> cached;
+    if (config.compileCache != nullptr)
+        cached = config.compileCache->getOrCompile(compiler, logical);
+    Ranking out{view, logical, config.verifyPasses,
+                cached ? *cached : compiler.compile(logical), {}};
+    const CompiledProgram &seed = out.seed;
+    const hw::Topology &topo = view.device().topology();
+    const int n = topo.numQubits();
+    // The seed's physical circuit spans the device register, which
+    // Circuit caps at 64 qubits, so one word keys every qubit set.
+    QEDM_ASSERT(n <= 64, "qubit-set keys hold at most 64 qubits");
+
+    // Pattern: the induced subgraph on the qubits the seed executable
+    // touches (including any SWAP waypoints).
+    const std::vector<int> used = seed.usedQubits();
+    QEDM_ASSERT(!used.empty(), "compiled program uses no qubits");
+    std::vector<int> patternIndex(static_cast<std::size_t>(n), -1);
+    for (std::size_t i = 0; i < used.size(); ++i)
+        patternIndex[used[i]] = static_cast<int>(i);
+    std::vector<std::pair<int, int>> pattern_edges;
+    for (const auto &edge : topo.edges()) {
+        if (patternIndex[edge.a] >= 0 && patternIndex[edge.b] >= 0)
+            pattern_edges.emplace_back(patternIndex[edge.a],
+                                       patternIndex[edge.b]);
+    }
+    const hw::Topology pattern(static_cast<int>(used.size()),
+                               pattern_edges);
+
+    // Score every transfer from the seed's gate trace, re-indexed once
+    // to pattern slots: an embedding (slot -> physical) is then itself
+    // the map espOfTrace walks. These are the factors esp() multiplies
+    // on the materialized circuit, in the same order, so the scores
+    // are bit-identical without building a circuit or a relabeling.
+    const auto model = transpile::sharedEspModel(view);
+    transpile::GateTrace trace =
+        transpile::EspModel::trace(seed.physical.decomposed());
+    for (transpile::GateTerm &term : trace) {
+        term.a = patternIndex[term.a];
+        if (term.kind == transpile::GateTerm::Kind::TwoQubit)
+            term.b = patternIndex[term.b];
+    }
+
+    // Full physical-to-physical relabeling: used qubits move via the
+    // embedding; the rest fill the remaining slots in ascending order
+    // (their placement is irrelevant, no gate touches them).
+    const auto fill = [&](const std::vector<int> &embedding,
+                          CandidateRecord &rec) {
+        rec.relabel.assign(static_cast<std::size_t>(n), -1);
+        for (std::size_t i = 0; i < used.size(); ++i)
+            rec.relabel[used[i]] = embedding[i];
+        std::uint64_t taken = rec.usedMask;
+        int next = 0;
+        for (int &target : rec.relabel) {
+            if (target >= 0)
+                continue;
+            while ((taken >> next) & 1U)
+                ++next;
+            target = next;
+            taken |= std::uint64_t{1} << next;
+        }
+        rec.initialMap.clear();
+        for (int p : seed.initialMap)
+            rec.initialMap.push_back(rec.relabel[p]);
+    };
+
+    // The paper ranks isomorphic *sub-graphs*: automorphic relabelings
+    // of one qubit set collapse onto its best under candidateBefore.
+    // Embeddings stream past; only a set's first embedding, a strictly
+    // better ESP, or an exact ESP tie pays for a relabeling. The map is
+    // only looked up, never iterated: the rows vector holds the order.
+    std::unordered_map<std::uint64_t, std::size_t> rowOf;
+    CandidateRecord challenger;
+    transpile::vf2ForEachEmbedding(
+        pattern, topo, config.vf2Limit, view.maskPtr(),
+        [&](const std::vector<int> &embedding) {
+            std::uint64_t mask = 0;
+            for (int q : embedding)
+                mask |= std::uint64_t{1} << q;
+            const double esp = model->espOfTrace(trace, embedding);
+            const auto [slot, fresh] =
+                rowOf.try_emplace(mask, out.rows.size());
+            if (fresh) {
+                CandidateRecord &rec = out.rows.emplace_back();
+                rec.usedMask = mask;
+                rec.esp = esp;
+                fill(embedding, rec);
+                return;
+            }
+            CandidateRecord &best = out.rows[slot->second];
+            if (esp < best.esp)
+                return;
+            challenger.usedMask = mask;
+            challenger.esp = esp;
+            fill(embedding, challenger);
+            if (candidateBefore(challenger, best))
+                std::swap(challenger, best);
+        });
+    QEDM_ASSERT(!out.rows.empty(), "identity embedding must always exist");
+    std::sort(out.rows.begin(), out.rows.end(), candidateBefore);
+    return out;
 }
 
 } // namespace
@@ -66,161 +248,15 @@ EnsembleBuilder::EnsembleBuilder(const hw::Device &device,
 std::vector<CompiledProgram>
 EnsembleBuilder::candidates(const circuit::Circuit &logical) const
 {
-    transpile::Transpiler compiler(view_, config_.routeCost,
-                                   config_.verifyPasses);
-    compiler.setScheduler(config_.scheduler);
-    std::shared_ptr<const CompiledProgram> cached;
-    if (config_.compileCache != nullptr)
-        cached = config_.compileCache->getOrCompile(compiler, logical);
-    const CompiledProgram seed =
-        cached ? *cached : compiler.compile(logical);
-    const auto &topo = device_.topology();
-
-    // Pattern: the induced subgraph on the qubits the seed executable
-    // touches (including any SWAP waypoints).
-    const std::vector<int> used = seed.usedQubits();
-    QEDM_ASSERT(!used.empty(), "compiled program uses no qubits");
-    std::vector<int> patternIndex(topo.numQubits(), -1);
-    for (std::size_t i = 0; i < used.size(); ++i)
-        patternIndex[used[i]] = static_cast<int>(i);
-    std::vector<std::pair<int, int>> pattern_edges;
-    for (const auto &edge : topo.edges()) {
-        if (patternIndex[edge.a] >= 0 && patternIndex[edge.b] >= 0)
-            pattern_edges.emplace_back(patternIndex[edge.a],
-                                       patternIndex[edge.b]);
-    }
-    const hw::Topology pattern(static_cast<int>(used.size()),
-                               pattern_edges);
-
-    const auto embeddings = transpile::vf2AllEmbeddings(
-        pattern, topo, config_.vf2Limit, view_.maskPtr());
-    QEDM_ASSERT(!embeddings.empty(),
-                "identity embedding must always exist");
-
-    // Score every transfer from the seed's gate trace — the same
-    // factors esp() multiplies on the materialized circuit, in the
-    // same order, so the scores are bit-identical, without building
-    // a circuit per candidate.
-    const auto model = transpile::sharedEspModel(view_);
-    const transpile::GateTrace trace =
-        transpile::EspModel::trace(seed.physical.decomposed());
-
-    // Record building is embarrassingly parallel: each embedding's
-    // relabeling and trace score depend only on immutable shared
-    // state, and every worker writes a pre-assigned slot. The sort
-    // below imposes the canonical total order, so the result is
-    // bit-identical at any --jobs.
-    std::vector<CandidateRecord> records(embeddings.size());
-    auto score = [&](std::size_t idx) {
-        const auto &embedding = embeddings[idx];
-        // Full physical-to-physical relabeling: used qubits move via
-        // the embedding; the rest fill the remaining slots (their
-        // placement is irrelevant, no gate touches them).
-        CandidateRecord rec;
-        rec.relabel.assign(topo.numQubits(), -1);
-        std::vector<bool> taken(topo.numQubits(), false);
-        for (std::size_t i = 0; i < used.size(); ++i) {
-            rec.relabel[used[i]] = embedding[i];
-            taken[embedding[i]] = true;
-        }
-        int fill = 0;
-        for (int q = 0; q < topo.numQubits(); ++q) {
-            if (rec.relabel[q] >= 0)
-                continue;
-            while (taken[fill])
-                ++fill;
-            rec.relabel[q] = fill;
-            taken[fill] = true;
-        }
-        rec.initialMap.reserve(seed.initialMap.size());
-        for (int p : seed.initialMap)
-            rec.initialMap.push_back(rec.relabel[p]);
-        rec.usedSet = embedding;
-        std::sort(rec.usedSet.begin(), rec.usedSet.end());
-        rec.esp = model->espOfTrace(trace, rec.relabel);
-        records[idx] = std::move(rec);
-    };
-    if (config_.scheduler != nullptr) {
-        config_.scheduler->parallelFor(embeddings.size(), score);
-    } else {
-        for (std::size_t idx = 0; idx < embeddings.size(); ++idx)
-            score(idx);
-    }
-    std::sort(records.begin(), records.end(), candidateBefore);
-
-    // The paper ranks isomorphic *sub-graphs*: collapse automorphic
-    // relabelings onto the same qubit set, keeping the best-ESP one.
-    // Dedup happens *before* materialization, so automorphic copies
-    // never cost a circuit build.
-    std::vector<CandidateRecord> survivors;
-    std::set<std::vector<int>> seen_sets;
-    for (auto &rec : records) {
-        if (seen_sets.insert(rec.usedSet).second)
-            survivors.push_back(std::move(rec));
-    }
-
-    // Materialize (and verify) only the survivors, fanned out over the
-    // scheduler when one is configured. Each worker writes its
-    // pre-assigned slot, so the output is bit-identical at any --jobs.
-    std::vector<CompiledProgram> out(survivors.size());
-    auto materialize = [&](std::size_t i) {
-        const CandidateRecord &rec = survivors[i];
-        CompiledProgram member;
-        member.physical =
-            seed.physical.remapQubits(rec.relabel, topo.numQubits());
-        member.initialMap = rec.initialMap;
-        member.finalMap.reserve(seed.finalMap.size());
-        for (int p : seed.finalMap)
-            member.finalMap.push_back(rec.relabel[p]);
-        member.swapCount = seed.swapCount;
-        member.esp = rec.esp;
-        // Isomorphic transfer must preserve validity; verify every
-        // member the builder hands out, not just the compiled seed.
-        if (config_.verifyPasses) {
-            check::ProgramView view;
-            view.physical = &member.physical;
-            view.initialMap = &member.initialMap;
-            view.finalMap = &member.finalMap;
-            view.swapCount = member.swapCount;
-            view.esp = member.esp;
-            view.device = &device_;
-            view.logical = &logical;
-            view.region = &view_;
-            check::verifyProgram(view);
-        }
-        out[i] = std::move(member);
-    };
-    if (config_.scheduler != nullptr) {
-        config_.scheduler->parallelFor(survivors.size(), materialize);
-    } else {
-        for (std::size_t i = 0; i < survivors.size(); ++i)
-            materialize(i);
-    }
-    return out;
+    const Ranking ranking = rankCandidates(view_, config_, logical);
+    return ranking.members(Ranking::prefix(ranking.rows.size()));
 }
-
-namespace {
-
-/** Fraction of @p a's qubits also present in @p b (both sorted). */
-double
-overlapFraction(const std::vector<int> &a, const std::vector<int> &b)
-{
-    if (a.empty())
-        return 0.0;
-    std::size_t shared = 0;
-    for (int q : a) {
-        if (std::binary_search(b.begin(), b.end(), q))
-            ++shared;
-    }
-    return static_cast<double>(shared) / static_cast<double>(a.size());
-}
-
-} // namespace
 
 std::vector<CompiledProgram>
 EnsembleBuilder::build(const circuit::Circuit &logical) const
 {
-    const std::vector<CompiledProgram> all = candidates(logical);
+    const Ranking ranking = rankCandidates(view_, config_, logical);
+    const std::vector<CandidateRecord> &rows = ranking.rows;
     // Fault-aware sizing: when the fault plan predicts member dropout,
     // over-provision K so the ensemble *expected to survive* still has
     // config_.size members — size / (1 - p) against probabilistic
@@ -233,39 +269,38 @@ EnsembleBuilder::build(const circuit::Circuit &logical) const
                static_cast<std::size_t>(config_.plannedDropouts);
     }
 
-    // Greedy top-K selection under the overlap cap. If the cap
-    // starves the ensemble below K, it is relaxed progressively for
-    // the *remaining* slots only, so the tight-cap prefix (the most
-    // diverse members) is preserved.
-    std::vector<CompiledProgram> out;
-    std::vector<std::vector<int>> used_sets;
-    std::vector<bool> taken(all.size(), false);
+    // Greedy top-K selection under the overlap cap, on the rows' qubit
+    // sets. If the cap starves the ensemble below K, it is relaxed
+    // progressively for the *remaining* slots only, so the tight-cap
+    // prefix (the most diverse members) is preserved. Only the picked
+    // rows are materialized.
+    std::vector<std::size_t> picks;
+    std::vector<bool> taken(rows.size(), false);
     for (double cap = config_.maxOverlap;
-         out.size() < want && out.size() < all.size(); cap += 0.25) {
-        for (std::size_t i = 0; i < all.size() && out.size() < want;
+         picks.size() < want && picks.size() < rows.size(); cap += 0.25) {
+        for (std::size_t i = 0; i < rows.size() && picks.size() < want;
              ++i) {
             if (taken[i])
                 continue;
-            const std::vector<int> used = all[i].usedQubits();
             bool ok = true;
             if (cap < 1.0) {
-                for (const auto &prev : used_sets) {
-                    if (overlapFraction(used, prev) > cap) {
+                for (std::size_t prev : picks) {
+                    if (overlapFraction(rows[i].usedMask,
+                                        rows[prev].usedMask) > cap) {
                         ok = false;
                         break;
                     }
                 }
             }
             if (ok) {
-                out.push_back(all[i]);
-                used_sets.push_back(used);
+                picks.push_back(i);
                 taken[i] = true;
             }
         }
         if (cap >= 1.0)
             break;
     }
-    return out;
+    return ranking.members(picks);
 }
 
 std::vector<CompiledProgram>
@@ -273,9 +308,9 @@ EnsembleBuilder::buildPredictive(const circuit::Circuit &logical,
                                  std::size_t pool_size) const
 {
     QEDM_REQUIRE(pool_size >= 2, "predictive pool needs >= 2 members");
-    std::vector<CompiledProgram> pool = candidates(logical);
-    if (pool.size() > pool_size)
-        pool.resize(pool_size);
+    const Ranking ranking = rankCandidates(view_, config_, logical);
+    const std::vector<CompiledProgram> pool = ranking.members(
+        Ranking::prefix(std::min(pool_size, ranking.rows.size())));
     const std::size_t want = std::min<std::size_t>(
         static_cast<std::size_t>(config_.size), pool.size());
 
@@ -335,23 +370,23 @@ std::vector<CompiledProgram>
 EnsembleBuilder::buildRandom(const circuit::Circuit &logical,
                              Rng &rng) const
 {
-    std::vector<CompiledProgram> all = candidates(logical);
-    if (static_cast<int>(all.size()) <= config_.size)
-        return all;
-    std::vector<CompiledProgram> out;
-    out.push_back(all.front()); // keep the compile-time best
-    // Fisher-Yates over the remainder.
-    for (std::size_t i = 1; i < all.size() &&
-                            out.size() <
-                                static_cast<std::size_t>(config_.size);
+    const Ranking ranking = rankCandidates(view_, config_, logical);
+    std::vector<std::size_t> order = Ranking::prefix(ranking.rows.size());
+    if (static_cast<int>(order.size()) <= config_.size)
+        return ranking.members(order);
+    std::vector<std::size_t> picks{0}; // keep the compile-time best
+    // Fisher-Yates over the remaining row indices.
+    for (std::size_t i = 1;
+         i < order.size() &&
+         picks.size() < static_cast<std::size_t>(config_.size);
          ++i) {
         const std::size_t j =
             i + static_cast<std::size_t>(
-                    rng.uniformInt(all.size() - i));
-        std::swap(all[i], all[j]);
-        out.push_back(std::move(all[i]));
+                    rng.uniformInt(order.size() - i));
+        std::swap(order[i], order[j]);
+        picks.push_back(order[i]);
     }
-    return out;
+    return ranking.members(picks);
 }
 
 } // namespace qedm::core

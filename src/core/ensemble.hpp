@@ -4,10 +4,13 @@
  * steps 1-2).
  *
  * Starting from the variation-aware compiler's best executable, the
- * builder enumerates every subgraph of the device isomorphic to the
- * used region (VF2), transfers the compiled program onto each via the
- * isomorphism (so all members execute an identical gate sequence), and
- * ranks the candidates by ESP. The top K become the ensemble.
+ * builder streams every embedding of the used region into the device
+ * (VF2), scores each from the seed's gate trace, and keeps the best
+ * embedding of each distinct qubit set. These per-set rows are ranked
+ * by ESP; a selection policy picks its members from the rows, and only
+ * the picked rows are materialized: the compiled program transferred
+ * onto them via the isomorphism, so all members execute an identical
+ * gate sequence.
  */
 
 #pragma once
@@ -31,7 +34,14 @@ struct EnsembleConfig
 {
     /** Ensemble size K (paper default: 4). */
     int size = 4;
-    /** Cap on VF2 embedding enumeration. */
+    /**
+     * Cap on VF2 embedding enumeration. Truncation is in enumeration
+     * order, not ESP order: past the cap the ranking covers only the
+     * embeddings enumerated first and can silently miss better
+     * placements. A test pins which Table-1 seed patterns reach the
+     * default: none on melbourne; on an 8x8 grid the routed bv-6 and
+     * bv-7 patterns do.
+     */
     std::size_t vf2Limit = 200000;
     /**
      * Diversity cap: a candidate is skipped if it shares more than
@@ -63,11 +73,11 @@ struct EnsembleConfig
      */
     transpile::CompileCache *compileCache = nullptr;
     /**
-     * Optional scheduler for fanning candidate materialization and
-     * verification across worker threads (not owned; must outlive the
-     * builder). Results are written into index-assigned slots, so the
-     * candidate list is bit-identical at every `--jobs` value. Null
-     * means serial.
+     * Optional scheduler for the seed compile's placement search (not
+     * owned; must outlive the builder). Results are bit-identical at
+     * every `--jobs` value; null means serial. Candidate scoring and
+     * member materialization always run serially: a build materializes
+     * only the members it returns, too few to pay for a fan-out.
      */
     const runtime::JobScheduler *scheduler = nullptr;
     /**
@@ -102,8 +112,10 @@ class EnsembleBuilder
 
     /**
      * All candidate programs: isomorphic transfers of the compiled
-     * seed, sorted by descending ESP. The first entry is the
-     * compile-time best mapping (the paper's baseline).
+     * seed, one per distinct qubit set, sorted by descending ESP. The
+     * first entry is the compile-time best mapping (the paper's
+     * baseline). Materializes every candidate; the build policies
+     * materialize only the members they return.
      */
     std::vector<transpile::CompiledProgram>
     candidates(const circuit::Circuit &logical) const;

@@ -112,8 +112,8 @@ struct OnDemandDistanceProvider::Impl
     /**
      * Row fills are guarded by source-sharded locks (src mod
      * kLockShards), not one global mutex: concurrent workers filling
-     * different rows — the common shape once placement search and
-     * ensemble materialization fan out over the scheduler — only
+     * different rows — the common shape once placement search fans
+     * out over the scheduler — only
      * contend when they hash to the same shard, and a worker holding
      * one shard never blocks Dijkstra work under another. Each row is
      * computed exactly once (the shard lock covers its slot's

@@ -54,10 +54,12 @@ class Matcher
 {
   public:
     Matcher(const hw::Topology &pattern, const hw::Topology &target,
-            std::size_t limit, const std::vector<bool> *allowed)
+            std::size_t limit, const std::vector<bool> *allowed,
+            const std::function<void(const std::vector<int> &)> &visit)
         : pattern_(pattern), target_(target), limit_(limit),
           words_((static_cast<std::size_t>(target.numQubits()) + 63) /
-                 64)
+                 64),
+          visit_(visit)
     {
         // Per-vertex feasibility: allowed-mask, degree, and signature
         // dominance combined into one bitset row. Degree/signature
@@ -127,11 +129,11 @@ class Matcher
                      0);
     }
 
-    std::vector<std::vector<int>>
+    std::size_t
     run()
     {
         recurse(0);
-        return std::move(results_);
+        return count_;
     }
 
   private:
@@ -167,10 +169,11 @@ class Matcher
     void
     recurse(std::size_t depth)
     {
-        if (results_.size() >= limit_)
+        if (count_ >= limit_)
             return;
         if (depth == order_.size()) {
-            results_.push_back(map_);
+            ++count_;
+            visit_(map_);
             return;
         }
         const int v = order_[depth];
@@ -187,7 +190,7 @@ class Matcher
         if (mapped_neighbor >= 0) {
             for (int t : target_.neighbors(map_[mapped_neighbor])) {
                 tryHost(depth, v, t);
-                if (results_.size() >= limit_)
+                if (count_ >= limit_)
                     return;
             }
         } else {
@@ -202,7 +205,7 @@ class Matcher
                                        std::countr_zero(bits)));
                     bits &= bits - 1;
                     tryHost(depth, v, t);
-                    if (results_.size() >= limit_)
+                    if (count_ >= limit_)
                         return;
                 }
             }
@@ -217,14 +220,17 @@ class Matcher
     std::vector<int> order_;
     std::vector<int> map_;
     std::vector<std::uint8_t> used_;
-    std::vector<std::vector<int>> results_;
+    const std::function<void(const std::vector<int> &)> &visit_;
+    std::size_t count_ = 0;
 };
 
 } // namespace
 
-std::vector<std::vector<int>>
-vf2AllEmbeddings(const hw::Topology &pattern, const hw::Topology &target,
-                 std::size_t limit, const std::vector<bool> *allowed)
+std::size_t
+vf2ForEachEmbedding(const hw::Topology &pattern, const hw::Topology &target,
+                    std::size_t limit, const std::vector<bool> *allowed,
+                    const std::function<void(const std::vector<int> &)>
+                        &visit)
 {
     QEDM_REQUIRE(pattern.numQubits() <= target.numQubits(),
                  "pattern is larger than the target graph");
@@ -233,8 +239,20 @@ vf2AllEmbeddings(const hw::Topology &pattern, const hw::Topology &target,
                      allowed->size() ==
                          static_cast<std::size_t>(target.numQubits()),
                  "allowed mask size must match the target graph");
-    Matcher matcher(pattern, target, limit, allowed);
+    Matcher matcher(pattern, target, limit, allowed, visit);
     return matcher.run();
+}
+
+std::vector<std::vector<int>>
+vf2AllEmbeddings(const hw::Topology &pattern, const hw::Topology &target,
+                 std::size_t limit, const std::vector<bool> *allowed)
+{
+    std::vector<std::vector<int>> out;
+    vf2ForEachEmbedding(pattern, target, limit, allowed,
+                        [&out](const std::vector<int> &embedding) {
+                            out.push_back(embedding);
+                        });
+    return out;
 }
 
 bool

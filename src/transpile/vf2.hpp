@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "hw/topology.hpp"
@@ -23,12 +24,29 @@ namespace qedm::transpile {
  * (monomorphism, not induced isomorphism) — exactly what mapping
  * transfer needs.
  *
+ * Streaming form: @p visit sees each embedding once, in enumeration
+ * order, and nothing is stored. The vector it is handed (entry u is
+ * f(u)) is only valid during the call.
+ *
  * @param pattern the (small) graph to embed
  * @param target the host graph
- * @param limit stop after this many embeddings
+ * @param limit stop after this many embeddings (in enumeration order,
+ *        not in any score order)
  * @param allowed optional target-vertex mask; embeddings may only use
- *        vertices with a true flag. nullptr (the default) allows every
- *        vertex and follows the exact unmasked enumeration order.
+ *        vertices with a true flag. nullptr allows every vertex and
+ *        follows the exact unmasked enumeration order.
+ * @returns the number of embeddings visited
+ */
+std::size_t
+vf2ForEachEmbedding(const hw::Topology &pattern, const hw::Topology &target,
+                    std::size_t limit, const std::vector<bool> *allowed,
+                    const std::function<void(const std::vector<int> &)>
+                        &visit);
+
+/**
+ * Collecting form of vf2ForEachEmbedding: every embedding, in
+ * enumeration order.
+ *
  * @returns one vector per embedding; entry u is f(u)
  */
 std::vector<std::vector<int>>

@@ -180,8 +180,8 @@ TEST(ParallelEnsemble, CandidatesBitIdentical)
 TEST(ParallelEnsemble, BuildBitIdenticalOnHeavyHex27)
 {
     // Full ensemble construction on a heavy-hex lattice: seed
-    // compile, parallel placement search, parallel candidate
-    // materialization. heavy-hex-27 stays under the 64-qubit circuit
+    // compile with parallel placement search, then candidate ranking
+    // and materialization. heavy-hex-27 stays under the 64-qubit circuit
     // cap that physical-circuit materialization requires.
     const hw::Device device = hw::Device::synthetic(
         "heavy-hex-27", hw::Topology::heavyHex27(),

@@ -153,6 +153,28 @@ TEST(Vf2, LimitIsHonored)
     EXPECT_EQ(maps.size(), 5u);
 }
 
+TEST(Vf2, StreamingFormCountsAndStopsAtLimit)
+{
+    // The visitor sees the collector's embeddings in the same order and
+    // returns how many it saw, stopping at the limit.
+    const hw::Topology pattern = hw::Topology::linear(2);
+    const hw::Topology target = hw::Topology::melbourne();
+    const auto all = vf2AllEmbeddings(pattern, target);
+    std::vector<std::vector<int>> seen;
+    const auto collect = [&seen](const std::vector<int> &m) {
+        seen.push_back(m);
+    };
+    EXPECT_EQ(vf2ForEachEmbedding(pattern, target, 100000, nullptr,
+                                  collect),
+              all.size());
+    EXPECT_EQ(seen, all);
+    seen.clear();
+    EXPECT_EQ(vf2ForEachEmbedding(pattern, target, 5, nullptr, collect),
+              5u);
+    EXPECT_EQ(seen,
+              std::vector<std::vector<int>>(all.begin(), all.begin() + 5));
+}
+
 TEST(Vf2, EveryEmbeddingMapsEdgesToEdges)
 {
     const hw::Topology pattern(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});

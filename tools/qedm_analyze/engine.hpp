@@ -10,8 +10,9 @@
  * file list is sorted before the parallel scan, per-file findings
  * land in a slot indexed by file (never a shared vector), the merge
  * walks slots in order, and every late phase is serial — the same
- * slot-ordered pattern the ensemble materializer uses (DESIGN.md
- * §9). A determinism test diffs --jobs 1 vs --jobs 4 output.
+ * slot-ordered pattern the EDM pipeline's tape and batch fan-out uses
+ * (DESIGN.md §9). A determinism test diffs --jobs 1 vs --jobs 4
+ * output.
  */
 
 #pragma once
