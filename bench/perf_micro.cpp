@@ -39,6 +39,7 @@
 #include "core/experiment.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
+#include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/placer.hpp"
@@ -88,12 +89,12 @@ BM_NoisyShotsBv6(benchmark::State &state)
     const auto program =
         compiler.compile(benchmarks::bv6().circuit);
     const sim::Executor exec(device);
+    const auto tape = sim::ExecutionTape::build(device, program.physical);
     Rng rng(1);
     const std::uint64_t shots =
         static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            exec.run(program.physical, shots, rng));
+        benchmark::DoNotOptimize(exec.runTrajectories(tape, shots, rng));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(shots));
@@ -107,10 +108,10 @@ BM_ExactDistributionBv6(benchmark::State &state)
     const transpile::Transpiler compiler(device);
     const auto program =
         compiler.compile(benchmarks::bv6().circuit);
-    const sim::Executor exec(device);
+    const auto tape = sim::ExecutionTape::build(device, program.physical);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            exec.exactDistribution(program.physical));
+            sim::exactLaw(tape, device.calibration()));
     }
 }
 BENCHMARK(BM_ExactDistributionBv6);
@@ -391,26 +392,29 @@ runSimKernelSweep()
                                 20, 3));
     }
 
-    // Shot loops on compiled bv-6 (the guarded end-to-end paths).
+    // Trajectory shot loops on a prebuilt compiled-bv-6 tape (the lane
+    // kernels registers above sim::kExactLawMaxQubits run on), and the
+    // fused density-matrix law smaller registers sample from.
     {
         const hw::Device device = hw::Device::melbourne(2);
         const transpile::Transpiler compiler(device);
         const auto program =
             compiler.compile(benchmarks::bv6().circuit);
+        const auto tape =
+            sim::ExecutionTape::build(device, program.physical);
         const sim::Executor exec(device);
         Rng rng(1);
         emit("noisy_shots_bv6_1024",
              timeBestNs(
                  [&] {
                      benchmark::DoNotOptimize(
-                         exec.run(program.physical, 1024, rng));
+                         exec.runTrajectories(tape, 1024, rng));
                  },
                  5));
         emit("exact_bv6", timeBestNs(
                               [&] {
-                                  benchmark::DoNotOptimize(
-                                      exec.exactDistribution(
-                                          program.physical));
+                                  benchmark::DoNotOptimize(sim::exactLaw(
+                                      tape, device.calibration()));
                               },
                               3));
         // Batched-engine width sweep (BM_BatchedShotsBv6): the same
@@ -427,14 +431,15 @@ runSimKernelSweep()
                  timeBestNs(
                      [&] {
                          benchmark::DoNotOptimize(
-                             batched.run(program.physical, 1024, rng));
+                             batched.runTrajectories(tape, 1024, rng));
                      },
                      5));
         }
     }
     {
         // Coherent-only device: the tape is deterministic, so this
-        // times the evolve-once + binary-search-sampling fast path.
+        // times the trajectory engine's evolve-once +
+        // binary-search-sampling fast path.
         hw::NoiseSpec spec;
         spec.coherentScale = 1.5;
         spec.stochasticScale = 0.0;
@@ -444,13 +449,15 @@ runSimKernelSweep()
         const transpile::Transpiler compiler(device);
         const auto program =
             compiler.compile(benchmarks::bv6().circuit);
+        const auto tape =
+            sim::ExecutionTape::build(device, program.physical);
         const sim::Executor exec(device);
         Rng rng(777);
         emit("deterministic_shots_bv6_4096",
              timeBestNs(
                  [&] {
                      benchmark::DoNotOptimize(
-                         exec.run(program.physical, 4096, rng));
+                         exec.runTrajectories(tape, 4096, rng));
                  },
                  5));
     }

@@ -4,7 +4,7 @@
  *
  * Runs the same Clifford workload (BV-6) through the three simulation
  * engines — stabilizer tableau, ideal state vector, and the noisy
- * trajectory executor — then uses the error-budget analyzer to show
+ * executor — then uses the error-budget analyzer to show
  * which noise family explains the gap between ideal and noisy.
  *
  * Build & run:  ./build/examples/engine_crosscheck
@@ -53,7 +53,9 @@ main()
     std::cout << "state-vector engine: P(correct) = "
               << analysis::fmt(ideal.prob(bench.expected), 4) << "\n";
 
-    // 3. Noisy trajectory executor on the modeled machine.
+    // 3. Noisy executor on the modeled machine (this 7-qubit program
+    //    samples its exact output law; larger registers run
+    //    trajectories).
     const hw::Device device = hw::Device::melbourne(2);
     const core::EnsembleBuilder builder(device);
     const auto program = builder.candidates(bench.circuit).front();

@@ -6,6 +6,7 @@
 #include "common/hash.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/execution_tape.hpp"
+#include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/compile_cache.hpp"
 
@@ -76,11 +77,14 @@ experimentFingerprint(const hw::Device &device,
                       const benchmarks::Benchmark &benchmark,
                       const ExperimentConfig &config, std::uint64_t seed)
 {
-    // Everything that shapes the summary goes in; operational knobs
-    // (jobs, simBatch, wallDeadlineMs, backoff pacing) deliberately
-    // stay out so a journal can be resumed under different machine
-    // conditions.
+    // Everything that shapes the summary goes in — including the
+    // shot sampler's stream contract, so a journal recorded by another
+    // sampler is refused rather than mixed into this run; operational
+    // knobs (jobs, simBatch, wallDeadlineMs, backoff pacing)
+    // deliberately stay out so a journal can be resumed under
+    // different machine conditions.
     Fingerprint fp(0x4a4f55524e414cull); // "JOURNAL"
+    fp.add(sim::kSamplerVersion);
     fp.add(std::string_view(benchmark.name));
     fp.add(config.rounds);
     fp.add(config.totalShots);

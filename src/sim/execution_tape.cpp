@@ -1,14 +1,131 @@
 #include "sim/execution_tape.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
+#include "sim/density_matrix.hpp"
 
 namespace qedm::sim {
 
 using circuit::Circuit;
 using circuit::Gate;
 using circuit::OpKind;
+
+namespace {
+
+/**
+ * Apply per-bit readout confusion to a classical distribution,
+ * in place: outcomes pair up as (o, o^bit), and each pair exchanges
+ * probability mass independently of every other pair, so no scratch
+ * distribution is needed. The two accumulations keep the term order
+ * of the historical copy-based implementation (lower-index source
+ * first), so results are bit-identical to it.
+ */
+void
+applyBitConfusion(stats::Distribution &dist, int bit, double p01,
+                  double p10)
+{
+    const std::size_t n = dist.size();
+    const std::size_t mask = std::size_t(1) << bit;
+    for (std::size_t o = 0; o < n; ++o) {
+        if (o & mask)
+            continue;
+        const double p0 = dist.prob(o);
+        const double p1 = dist.prob(o | mask);
+        dist.setProb(o, p0 * (1.0 - p01) + p1 * p10);
+        dist.setProb(o | mask, p0 * p01 + p1 * (1.0 - p10));
+    }
+}
+
+/** Apply a joint two-bit flip channel to a classical distribution,
+ *  in place (outcomes pair up under the flip involution). */
+void
+applyJointFlip(stats::Distribution &dist, int bit_a, int bit_b, double p)
+{
+    if (p <= 0.0)
+        return;
+    const std::size_t n = dist.size();
+    for (std::size_t o = 0; o < n; ++o) {
+        const Outcome f = flipBit(flipBit(o, bit_a), bit_b);
+        if (f <= o)
+            continue; // visit each pair once, from its lower index
+        const double po = dist.prob(o);
+        const double pf = dist.prob(f);
+        dist.setProb(o, po * (1.0 - p) + pf * p);
+        dist.setProb(f, po * p + pf * (1.0 - p));
+    }
+}
+
+} // namespace
+
+stats::Distribution
+exactLaw(const ExecutionTape &tape, const hw::Calibration &cal)
+{
+    QEDM_REQUIRE(tape.numLocal <= 10,
+                 "exact density-matrix simulation supports at most 10 "
+                 "active qubits, circuit has " +
+                     std::to_string(tape.numLocal) +
+                     "; use trajectory sampling (Executor::run) for "
+                     "larger circuits");
+
+    // 1-qubit factors queue on their qubit; each 2-qubit op is one
+    // pass. Its depolarizing rides in that pass: the channel commutes
+    // with the local unitary kicks (over-rotation, control phase,
+    // crosstalk) that follow the gate on the tape, so applying it
+    // first changes nothing.
+    DensityMatrix rho(tape.numLocal);
+    for (const TapeOp &op : tape.ops) {
+        for (const auto &[local, kraus] : op.preRelaxation)
+            rho.applyKraus1q(kraus, local);
+        if (op.l1 < 0) {
+            rho.apply1q(op.gate1q, op.l0);
+            if (op.overRotation != 0.0)
+                rho.apply1q(op.overRotationMat, op.l0);
+            if (op.depolProb > 0.0)
+                rho.applyKraus1q(depolarizing1q(op.depolProb), op.l0);
+        } else {
+            rho.apply2q(op.gate2q, op.l0, op.l1, op.depolProb);
+            if (op.overRotation != 0.0)
+                rho.apply1q(op.overRotationMat, op.l1);
+            if (op.controlPhase != 0.0)
+                rho.apply1q(op.controlPhaseMat, op.l0);
+            for (const auto &[spectator, kick] : op.crosstalk)
+                rho.apply1q(kick, spectator);
+        }
+        for (const auto &[local, kraus] : op.relaxation)
+            rho.applyKraus1q(kraus, local);
+    }
+    for (const auto &m : tape.measures) {
+        for (const auto &kraus : m.relaxation)
+            rho.applyKraus1q(kraus, m.local);
+    }
+
+    // Project the basis-state probabilities onto the classical register.
+    stats::Distribution dist(tape.numClbits);
+    const std::vector<double> probs = rho.probabilities();
+    for (std::size_t basis = 0; basis < probs.size(); ++basis) {
+        if (probs[basis] <= 0.0)
+            continue;
+        Outcome outcome = 0;
+        for (const auto &m : tape.measures)
+            outcome = setBit(outcome, m.clbit, getBit(basis, m.local));
+        dist.addProb(outcome, probs[basis]);
+    }
+
+    // Classical readout channels (applied in place; see the helpers).
+    for (const auto &m : tape.measures) {
+        const auto &qc = cal.qubit(m.phys);
+        if (qc.readoutP01 > 0.0 || qc.readoutP10 > 0.0)
+            applyBitConfusion(dist, m.clbit, qc.readoutP01,
+                              qc.readoutP10);
+    }
+    for (const auto &pr : tape.pairReadout)
+        applyJointFlip(dist, pr.clbitA, pr.clbitB, pr.jointFlipProb);
+
+    dist.normalize();
+    return dist;
+}
 
 ExecutionTape
 ExecutionTape::build(const hw::Device &device, const Circuit &physical)
@@ -203,6 +320,16 @@ ExecutionTape::build(const hw::Device &device, const Circuit &physical)
         if (a != physToClbit.end() && b != physToClbit.end()) {
             tape.pairReadout.push_back(TapePairReadout{
                 a->second, b->second, cr.jointFlipProb});
+        }
+    }
+
+    if (tape.numLocal <= kExactLawMaxQubits) {
+        const stats::Distribution law = exactLaw(tape, cal);
+        tape.cumulativeLaw.resize(law.size());
+        double acc = 0.0;
+        for (std::size_t o = 0; o < law.size(); ++o) {
+            acc += law.probabilities()[o];
+            tape.cumulativeLaw[o] = acc;
         }
     }
     return tape;

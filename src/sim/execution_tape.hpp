@@ -4,15 +4,17 @@
  *
  * A tape is the device-specific preprocessing of one physical circuit:
  * active-qubit compaction, per-gate systematic noise terms, scheduled
- * idle/gate relaxation channels, and the readout channel list. It is
- * immutable after build and references nothing mutable, so one tape can
- * be executed by any number of threads concurrently.
+ * idle/gate relaxation channels, the readout channel list, and — for
+ * registers of at most kExactLawMaxQubits active qubits — the exact
+ * classical output law every trial is drawn from. It is immutable
+ * after build and references nothing mutable, so one tape can be
+ * executed by any number of threads concurrently.
  *
  * Tapes are the unit the runtime layer caches: within one experimental
  * round, the four baseline policies and the K ensemble members re-run
- * the same (circuit, calibration) pairs repeatedly, and the tape only
- * needs to be built once per pair. The cache key is (device
- * fingerprint, circuit fingerprint); calibration drift changes the
+ * the same (circuit, calibration) pairs repeatedly, and the tape — law
+ * included — only needs to be built once per pair. The cache key is
+ * (device fingerprint, circuit fingerprint); calibration drift changes the
  * device fingerprint, so stale tapes from earlier rounds can never be
  * served ("drift-aware invalidation" by construction).
  */
@@ -31,6 +33,7 @@
 #include "circuit/circuit.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
+#include "stats/distribution.hpp"
 
 namespace qedm::sim {
 
@@ -87,6 +90,18 @@ struct TapePairReadout
 };
 
 /**
+ * Largest active register whose classical output law a tape carries
+ * (DESIGN.md §19). At 8 active qubits one fused density-matrix
+ * evolution costs about as much as the 256 trajectories of one
+ * member's share of a grid-recompile round, and it is shared by every
+ * batch of the tape; at 9 it costs ~5x those trajectories (~90 ms
+ * against ~17 ms), so above the cut the tape leaves the law empty
+ * and shots run on the trajectory engine. Deliberately a constant,
+ * not an option.
+ */
+inline constexpr int kExactLawMaxQubits = 8;
+
+/**
  * Immutable preprocessed program for one (device, physical circuit)
  * pair. Build once, execute from any thread.
  */
@@ -99,15 +114,38 @@ struct ExecutionTape
     std::vector<TapeMeasure> measures;
     std::vector<TapePairReadout> pairReadout;
     bool stochastic = false; ///< any per-shot randomness pre-readout
+    /**
+     * Cumulative exact output law over the 2^numClbits classical
+     * outcomes (readout channels included), normalized so the last
+     * entry is 1 within rounding. Filled by build() iff numLocal <=
+     * kExactLawMaxQubits, empty otherwise; the density-matrix scratch
+     * it came from is freed before build() returns.
+     */
+    std::vector<double> cumulativeLaw;
+
+    /** Does this tape carry its exact output law? */
+    bool hasLaw() const { return !cumulativeLaw.empty(); }
 
     /**
      * Preprocess @p physical for @p device. The circuit register must
      * match the device; every 2-qubit gate must sit on a coupling
-     * edge; at least one qubit must be measured.
+     * edge; at least one qubit must be measured. Registers of at most
+     * kExactLawMaxQubits active qubits also get their exact law.
      */
     static ExecutionTape build(const hw::Device &device,
                                const circuit::Circuit &physical);
 };
+
+/**
+ * Exact output distribution of @p tape's classical register under
+ * @p cal: the fused density-matrix evolution of every gate and noise
+ * channel on the tape (sim/density_matrix.hpp), projected onto the
+ * measured clbits, then per-bit readout confusion and correlated pair
+ * flips applied to the classical law. At most 10 active qubits (the
+ * matrix holds 4^n entries); throws UserError above that.
+ */
+stats::Distribution exactLaw(const ExecutionTape &tape,
+                             const hw::Calibration &cal);
 
 /**
  * Thread-safe LRU cache of built tapes keyed on

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "sim/batched_statevector.hpp"
 #include "sim/channels.hpp"
-#include "sim/density_matrix.hpp"
 #include "sim/kernel_shapes.hpp"
 #include "sim/shot_plan.hpp"
 #include "sim/statevector.hpp"
@@ -20,53 +18,6 @@ namespace qedm::sim {
 using circuit::Circuit;
 using circuit::Gate;
 using circuit::OpKind;
-
-namespace {
-
-/**
- * Apply per-bit readout confusion to a classical distribution,
- * in place: outcomes pair up as (o, o^bit), and each pair exchanges
- * probability mass independently of every other pair, so no scratch
- * distribution is needed. The two accumulations keep the term order
- * of the historical copy-based implementation (lower-index source
- * first), so results are bit-identical to it.
- */
-void
-applyBitConfusion(stats::Distribution &dist, int bit, double p01,
-                  double p10)
-{
-    const std::size_t n = dist.size();
-    const std::size_t mask = std::size_t(1) << bit;
-    for (std::size_t o = 0; o < n; ++o) {
-        if (o & mask)
-            continue;
-        const double p0 = dist.prob(o);
-        const double p1 = dist.prob(o | mask);
-        dist.setProb(o, p0 * (1.0 - p01) + p1 * p10);
-        dist.setProb(o | mask, p0 * p01 + p1 * (1.0 - p10));
-    }
-}
-
-/** Apply a joint two-bit flip channel to a classical distribution,
- *  in place (outcomes pair up under the flip involution). */
-void
-applyJointFlip(stats::Distribution &dist, int bit_a, int bit_b, double p)
-{
-    if (p <= 0.0)
-        return;
-    const std::size_t n = dist.size();
-    for (std::size_t o = 0; o < n; ++o) {
-        const Outcome f = flipBit(flipBit(o, bit_a), bit_b);
-        if (f <= o)
-            continue; // visit each pair once, from its lower index
-        const double po = dist.prob(o);
-        const double pf = dist.prob(f);
-        dist.setProb(o, po * (1.0 - p) + pf * p);
-        dist.setProb(f, po * p + pf * (1.0 - p));
-    }
-}
-
-} // namespace
 
 Executor::Executor(hw::Device device) : device_(std::move(device)) {}
 
@@ -365,11 +316,58 @@ runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
     return counts;
 }
 
+/**
+ * Exact-law sampling: one uniform per trial against the tape's
+ * cumulative output law, with the continuation gate consulted before
+ * each trial exactly as the trajectory loop does — so a gated run cut
+ * at trial L equals an ungated run of L trials on the same stream.
+ */
+template <typename Gate>
+stats::Counts
+sampleLaw(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
+          const Gate &gate)
+{
+    std::vector<std::uint64_t> tally(tape.cumulativeLaw.size(), 0);
+    for (std::uint64_t trial = 0; trial < shots; ++trial) {
+        if (!gate(trial))
+            break;
+        ++tally[sampleFromCumulative(tape.cumulativeLaw, rng)];
+    }
+    stats::Counts counts(tape.numClbits);
+    for (std::size_t o = 0; o < tally.size(); ++o) {
+        if (tally[o] > 0)
+            counts.add(static_cast<Outcome>(o), tally[o]);
+    }
+    return counts;
+}
+
 } // namespace
 
 stats::Counts
 Executor::run(const ExecutionTape &tape, std::uint64_t shots,
               Rng &rng) const
+{
+    QEDM_REQUIRE(shots > 0, "shots must be positive");
+    if (tape.hasLaw())
+        return sampleLaw(tape, shots, rng,
+                         [](std::uint64_t) { return true; });
+    return runTrajectories(tape, shots, rng);
+}
+
+stats::Counts
+Executor::run(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
+              const TrialGate &gate) const
+{
+    QEDM_REQUIRE(shots > 0, "shots must be positive");
+    QEDM_REQUIRE(gate != nullptr, "trial gate must be callable");
+    if (tape.hasLaw())
+        return sampleLaw(tape, shots, rng, gate);
+    return runTrajectories(tape, shots, rng, gate);
+}
+
+stats::Counts
+Executor::runTrajectories(const ExecutionTape &tape, std::uint64_t shots,
+                          Rng &rng) const
 {
     QEDM_REQUIRE(shots > 0, "shots must be positive");
     if (simBatch_ > 0 && batchEligible(tape, device_.calibration())) {
@@ -381,8 +379,8 @@ Executor::run(const ExecutionTape &tape, std::uint64_t shots,
 }
 
 stats::Counts
-Executor::run(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
-              const TrialGate &gate) const
+Executor::runTrajectories(const ExecutionTape &tape, std::uint64_t shots,
+                          Rng &rng, const TrialGate &gate) const
 {
     QEDM_REQUIRE(shots > 0, "shots must be positive");
     QEDM_REQUIRE(gate != nullptr, "trial gate must be callable");
@@ -398,65 +396,16 @@ Executor::exactDistribution(const Circuit &physical) const
 stats::Distribution
 Executor::exactDistribution(const ExecutionTape &tape) const
 {
-    QEDM_REQUIRE(tape.numLocal <= 10,
-                 "exact density-matrix simulation supports at most 10 "
-                 "active qubits, circuit has " +
-                     std::to_string(tape.numLocal) +
-                     "; use trajectory sampling (Executor::run) for "
-                     "larger circuits");
-    const auto &cal = device_.calibration();
-
-    DensityMatrix rho(tape.numLocal);
-    for (const TapeOp &op : tape.ops) {
-        for (const auto &[local, kraus] : op.preRelaxation)
-            rho.applyKraus1q(kraus, local);
-        if (op.l1 < 0) {
-            rho.apply1q(op.gate1q, op.l0);
-            if (op.overRotation != 0.0)
-                rho.apply1q(op.overRotationMat, op.l0);
-            if (op.depolProb > 0.0)
-                rho.applyKraus1q(depolarizing1q(op.depolProb), op.l0);
-        } else {
-            rho.apply2q(op.gate2q, op.l0, op.l1);
-            if (op.overRotation != 0.0)
-                rho.apply1q(op.overRotationMat, op.l1);
-            if (op.controlPhase != 0.0)
-                rho.apply1q(op.controlPhaseMat, op.l0);
-            for (const auto &[spectator, kick] : op.crosstalk)
-                rho.apply1q(kick, spectator);
-            if (op.depolProb > 0.0)
-                rho.applyDepolarizing2q(op.depolProb, op.l0, op.l1);
-        }
-        for (const auto &[local, kraus] : op.relaxation)
-            rho.applyKraus1q(kraus, local);
+    if (!tape.hasLaw())
+        return exactLaw(tape, device_.calibration());
+    std::vector<double> probs(tape.cumulativeLaw.size());
+    double prev = 0.0;
+    for (std::size_t o = 0; o < probs.size(); ++o) {
+        probs[o] = tape.cumulativeLaw[o] - prev;
+        prev = tape.cumulativeLaw[o];
     }
-    for (const auto &m : tape.measures) {
-        for (const auto &kraus : m.relaxation)
-            rho.applyKraus1q(kraus, m.local);
-    }
-
-    // Project the basis-state probabilities onto the classical register.
-    stats::Distribution dist(tape.numClbits);
-    const std::vector<double> probs = rho.probabilities();
-    for (std::size_t basis = 0; basis < probs.size(); ++basis) {
-        if (probs[basis] <= 0.0)
-            continue;
-        Outcome outcome = 0;
-        for (const auto &m : tape.measures)
-            outcome = setBit(outcome, m.clbit, getBit(basis, m.local));
-        dist.addProb(outcome, probs[basis]);
-    }
-
-    // Classical readout channels (applied in place; see the helpers).
-    for (const auto &m : tape.measures) {
-        const auto &qc = cal.qubit(m.phys);
-        if (qc.readoutP01 > 0.0 || qc.readoutP10 > 0.0)
-            applyBitConfusion(dist, m.clbit, qc.readoutP01,
-                              qc.readoutP10);
-    }
-    for (const auto &pr : tape.pairReadout)
-        applyJointFlip(dist, pr.clbitA, pr.clbitB, pr.jointFlipProb);
-
+    stats::Distribution dist =
+        stats::Distribution::fromProbabilities(std::move(probs));
     dist.normalize();
     return dist;
 }

@@ -10,8 +10,14 @@
  *
  * Two engines share one preprocessing pass (the ExecutionTape, see
  * sim/execution_tape.hpp):
- *  - trajectory: per-shot state-vector evolution with sampled noise;
- *  - exact: density-matrix evolution applying every channel fully.
+ *  - exact: fused density-matrix evolution applying every channel
+ *    fully (sim/density_matrix.hpp). For registers of at most
+ *    kExactLawMaxQubits active qubits the tape carries the resulting
+ *    classical output law, and run() draws every trial from it;
+ *  - trajectory: per-shot state-vector evolution with sampled noise
+ *    (runTrajectories()), which run() uses above that cut.
+ * Trajectories are an unbiased sampler of the same law, so the two
+ * differ only in which RNG stream realizes the histogram.
  *
  * Only the qubits the circuit touches are simulated; the tape compacts
  * physical indices into a dense local register while retaining the
@@ -40,6 +46,15 @@
 
 namespace qedm::sim {
 
+/**
+ * Version of the RNG-stream contract between a seed and the Counts
+ * run() returns. Journals and fingerprints mix it in, so a journal
+ * recorded by another sampler is refused instead of splicing its
+ * batches into this one's. 2: exact-law sampling at or below
+ * kExactLawMaxQubits (1: trajectories everywhere).
+ */
+inline constexpr std::uint64_t kSamplerVersion = 2;
+
 /** Runs physical circuits against one device model. */
 class Executor
 {
@@ -50,27 +65,40 @@ class Executor
     const hw::Device &device() const { return device_; }
 
     /**
-     * Execute @p physical for @p shots trials with per-shot noise
-     * trajectories and return the outcome histogram. Builds the tape
-     * once and reuses it for every shot.
+     * Execute @p physical for @p shots trials and return the outcome
+     * histogram. Builds the tape once and reuses it for every shot.
      */
     stats::Counts run(const circuit::Circuit &physical,
                       std::uint64_t shots, Rng &rng) const;
 
     /**
      * Same, from a prebuilt tape (must have been built against a
-     * device with this Executor's fingerprint).
+     * device with this Executor's fingerprint). A tape that carries
+     * its exact law (ExecutionTape::hasLaw) draws each trial with one
+     * uniform from the cumulative law (sampleFromCumulative); any
+     * other tape runs on runTrajectories().
      */
     stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
                       Rng &rng) const;
 
     /**
-     * Batched-engine width: stochastic tapes whose draw structure is
+     * Per-shot noise trajectories, whatever the register size: the
+     * engine run() uses above kExactLawMaxQubits, kept callable on
+     * its own so its kernels stay tested and benchmarked. The DESIGN
+     * §12 draw-order contract applies here: fixed-seed Counts are
+     * bit-identical at every batch width.
+     */
+    stats::Counts runTrajectories(const ExecutionTape &tape,
+                                  std::uint64_t shots, Rng &rng) const;
+
+    /**
+     * Trajectory lane width: stochastic tapes whose draw structure is
      * state-independent (sim/shot_plan.hpp) evolve this many shots
-     * per tape walk on the SoA engine, bit-identical to the scalar
-     * loop. 0 forces the scalar per-shot path (the pre-batching
-     * reference); widths are additionally capped so the amplitude
-     * planes stay memory-sane for large registers. Configure before
+     * per tape walk on the batched SoA trajectory engine,
+     * bit-identical to the scalar loop. 0 forces the scalar per-shot
+     * path (the pre-batching reference); widths are additionally
+     * capped so the amplitude planes stay memory-sane for large
+     * registers. Exact-law sampling ignores it. Configure before
      * sharing the Executor across threads.
      */
     static constexpr std::size_t kDefaultSimBatch = 64;
@@ -92,9 +120,14 @@ class Executor
     stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
                       Rng &rng, const TrialGate &gate) const;
 
+    /** runTrajectories() with a trial continuation gate. */
+    stats::Counts runTrajectories(const ExecutionTape &tape,
+                                  std::uint64_t shots, Rng &rng,
+                                  const TrialGate &gate) const;
+
     /**
      * Exact output distribution over the classical register via
-     * density-matrix simulation.
+     * density-matrix simulation (the tape's own law when it has one).
      *
      * Hard limit: at most 10 *active* qubits (the density matrix is
      * dense over 4^n entries — 10 qubits is already a 1M-complex

@@ -12,7 +12,9 @@
  *    batch is a non-power-of-two remainder, each compared against the
  *    pre-batching scalar path (setSimBatch(0)) on the same seed;
  *  - the full EDM/WEDM pipeline at --jobs {1, 4} crossed with batch
- *    widths, merged distributions compared double-for-double;
+ *    widths, merged distributions compared double-for-double, on a
+ *    register above sim::kExactLawMaxQubits so the pipeline's shots
+ *    actually run on the lane engine;
  *  - forceScalarLaneKernels: the baseline-ISA kernel build replayed
  *    against whatever build the CPU selected, counts bit-identical
  *    (trivially true on hosts without AVX2, a real cross-check with).
@@ -25,6 +27,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "core/edm.hpp"
+#include "core/ensemble.hpp"
 #include "hw/device.hpp"
 #include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
@@ -45,7 +48,8 @@ runBv6(std::size_t sim_batch, std::uint64_t shots)
     sim::Executor exec(device);
     exec.setSimBatch(sim_batch);
     Rng rng(12345);
-    return exec.run(program.physical, shots, rng);
+    return exec.runTrajectories(
+        sim::ExecutionTape::build(device, program.physical), shots, rng);
 }
 
 void
@@ -95,6 +99,14 @@ TEST_P(BatchedPipeline, EdmWedmInvariantToWidthAndJobs)
 {
     const auto [width, jobs] = GetParam();
     const hw::Device device = hw::Device::melbourne(2);
+    // An 8-bit key: 9 active qubits, one above the exact-law cut, so
+    // every member runs on trajectories.
+    const auto bench = benchmarks::bernsteinVazirani("10110101");
+    for (const auto &member :
+         core::EnsembleBuilder(device).build(bench.circuit)) {
+        ASSERT_FALSE(
+            sim::ExecutionTape::build(device, member.physical).hasLaw());
+    }
 
     const auto runAt = [&](std::size_t w, int j) {
         core::EdmConfig config;
@@ -103,7 +115,7 @@ TEST_P(BatchedPipeline, EdmWedmInvariantToWidthAndJobs)
         config.simBatch = w;
         core::EdmPipeline pipeline(device, config);
         Rng rng(2026);
-        return pipeline.run(benchmarks::bv6().circuit, rng);
+        return pipeline.run(bench.circuit, rng);
     };
 
     const auto ref = runAt(0, 1); // scalar path, sequential

@@ -129,8 +129,10 @@ TEST_P(TrajectoryExactTest, AgreesWithDensityMatrix)
     const sim::Executor exec(device);
     const auto exact = exec.exactDistribution(program.physical);
     Rng rng(13);
-    const auto empirical = stats::Distribution::fromCounts(
-        exec.run(program.physical, 60000, rng));
+    const auto empirical =
+        stats::Distribution::fromCounts(exec.runTrajectories(
+            sim::ExecutionTape::build(device, program.physical), 60000,
+            rng));
     EXPECT_LT(stats::totalVariation(exact, empirical), 0.02)
         << bench.name;
 }

@@ -622,6 +622,41 @@ TEST(JournalExperimentTest, ForeignJournalRefusesToResume)
     std::remove(path.c_str());
 }
 
+TEST(JournalExperimentTest, TrajectorySampledJournalIsRefused)
+{
+    // experimentFingerprint(melbourne(kSeed), bv-6, smallExperiment,
+    // kSeed).config as computed before the sampler version joined the
+    // fingerprint, when every trial ran on trajectories. Resuming such
+    // a journal would splice trajectory-sampled batches into an
+    // exact-law run, so its header must no longer match.
+    constexpr std::uint64_t kTrajectorySamplerConfig =
+        0x6ceb399f7a28bc2dull;
+    const hw::Device device = hw::Device::melbourne(kSeed);
+    const JournalFingerprint current = core::experimentFingerprint(
+        device, benchmarks::bv6(), smallExperiment(1), kSeed);
+    EXPECT_NE(current.config, kTrajectorySamplerConfig);
+
+    const std::string path = tmpPath("exp_old_sampler.bin");
+    {
+        JournalFingerprint old = current;
+        old.config = kTrajectorySamplerConfig;
+        Journal journal = Journal::create(path, old);
+    }
+    const JournalReplay replay = JournalReplay::load(path);
+    ExperimentConfig config = smallExperiment(1);
+    config.replay = &replay;
+    try {
+        core::runExperiment(device, benchmarks::bv6(), config, kSeed);
+        FAIL() << "journal of the trajectory sampler accepted";
+    } catch (const check::CheckError &e) {
+        EXPECT_EQ(e.kind(),
+                  check::CheckErrorKind::JournalFingerprintMismatch);
+        EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                  std::string::npos);
+    }
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Watchdog record/replay: the wall-clock fire becomes a durable fact.
 

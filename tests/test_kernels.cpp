@@ -4,9 +4,11 @@
  *
  * Three layers of protection:
  *  - golden fixed-seed outputs captured from the pre-rewrite engine
- *    (shot counts on stochastic and deterministic tapes, and full
- *    EDM/WEDM merge probabilities at --jobs 1 and 4), asserted
- *    bit-identical — the kernels' RNG draw-order contract;
+ *    (trajectory shot counts on stochastic and deterministic tapes,
+ *    via Executor::runTrajectories), asserted bit-identical — the
+ *    kernels' RNG draw-order contract; plus full EDM/WEDM merge
+ *    probabilities at --jobs 1 and 4, whose members sample their
+ *    exact law (DESIGN.md §19);
  *  - the straightforward reference kernels (full-scan loops the
  *    rewrite replaced) copied here verbatim and checked equal to the
  *    optimized kernels on random states, for every matrix structure
@@ -319,7 +321,8 @@ TEST(GoldenCounts, StochasticBv6FixedSeed)
     const auto program = compiler.compile(benchmarks::bv6().circuit);
     const sim::Executor exec(device);
     Rng rng(12345);
-    const stats::Counts counts = exec.run(program.physical, 512, rng);
+    const stats::Counts counts = exec.runTrajectories(
+        sim::ExecutionTape::build(device, program.physical), 512, rng);
     expectCounts(
         counts,
         {{0x0, 24},  {0x1, 28},  {0x2, 5},   {0x3, 8},   {0x5, 1},
@@ -351,7 +354,8 @@ TEST(GoldenCounts, DeterministicBv6FixedSeed)
     const auto program = compiler.compile(benchmarks::bv6().circuit);
     const sim::Executor exec(device);
     Rng rng(777);
-    const stats::Counts counts = exec.run(program.physical, 512, rng);
+    const stats::Counts counts = exec.runTrajectories(
+        sim::ExecutionTape::build(device, program.physical), 512, rng);
     expectCounts(
         counts,
         {{0x0, 5},   {0x1, 2},   {0x2, 12},  {0x3, 7},   {0x9, 1},
@@ -366,49 +370,52 @@ TEST(GoldenCounts, DeterministicBv6FixedSeed)
 // Full EDM/WEDM merge probabilities for bv-6 on melbourne(2), 4096
 // total shots, pipeline seed 2026 — captured at %.17g under the
 // canonical tie-break (equal-ESP candidates order lexicographically on
-// the mapping vector), so EXPECT_EQ is a bit-identity check. The
-// runtime layer guarantees the same result at every jobs value.
+// the mapping vector) and exact-law sampling (every member is at or
+// below sim::kExactLawMaxQubits), so EXPECT_EQ is a bit-identity
+// check. The runtime layer guarantees the same result at every jobs
+// value.
 const std::array<double, 64> kGoldenEdmBv6 = {
-    0.019775390625, 0.041015625, 0.039794921875, 0.084716796875,
-    0.00048828125, 0.000732421875, 0.00048828125, 0.00244140625,
-    0.0009765625, 0.0009765625, 0.001220703125, 0.001708984375, 0,
-    0.000244140625, 0.000244140625, 0.000244140625, 0.029052734375,
-    0.0478515625, 0.083740234375, 0.1025390625, 0, 0.001708984375,
-    0.001953125, 0.00390625, 0.00048828125, 0.001220703125,
-    0.0009765625, 0.002197265625, 0, 0, 0.000244140625, 0,
-    0.021240234375, 0.041748046875, 0.044189453125, 0.08544921875,
-    0.000732421875, 0.001953125, 0.00146484375, 0.003662109375,
-    0.000732421875, 0.001220703125, 0.0009765625, 0.002197265625, 0, 0,
-    0.000244140625, 0, 0.033203125, 0.071044921875, 0.06884765625,
-    0.131103515625, 0.002197265625, 0.002685546875, 0.00146484375,
-    0.00537109375, 0.000732421875, 0.00341796875, 0.0009765625,
-    0.001708984375, 0, 0.00048828125, 0, 0,
+    0.021728515625, 0.04638671875, 0.040771484375, 0.07861328125,
+    0.0009765625, 0.001953125, 0.001708984375, 0.001708984375,
+    0.000732421875, 0.00244140625, 0.0009765625, 0.001708984375, 0, 0,
+    0.000244140625, 0.000244140625, 0.02392578125, 0.051513671875,
+    0.080322265625, 0.102294921875, 0.00048828125, 0.002197265625,
+    0.00048828125, 0.003173828125, 0.00048828125, 0.00048828125,
+    0.001708984375, 0.00244140625, 0, 0, 0.000244140625, 0,
+    0.019287109375, 0.047119140625, 0.04052734375, 0.09375,
+    0.00048828125, 0.000732421875, 0.001220703125, 0.002685546875,
+    0.000244140625, 0.001708984375, 0.0009765625, 0.001220703125, 0, 0,
+    0.000244140625, 0, 0.031982421875, 0.06982421875, 0.064453125,
+    0.134521484375, 0.000244140625, 0.003173828125, 0.001708984375,
+    0.005859375, 0.0009765625, 0.002685546875, 0.001220703125,
+    0.002197265625, 0, 0.000244140625, 0.000732421875, 0,
 };
 
 const std::array<double, 64> kGoldenWedmBv6 = {
-    0.021325168527653947, 0.045262025368177902, 0.042546880662905545,
-    0.090694517108582284, 0.00054771737238873473,
-    0.00084847856597559154, 0.00048147874403692758,
-    0.0023671937173258039, 0.0010954347447774695, 0.0010830011312106412,
-    0.0012909287055130015, 0.0018652410688344255, 0,
-    0.00030076119358685681, 0.00024812757716119438,
-    0.00024812757716119438, 0.029040664969283352, 0.047442906539897828,
-    0.083282563432671194, 0.095160599628484013, 0,
-    0.0013975001098541096, 0.0017680141268707232, 0.0035573812857971534,
-    0.00049391235760375585, 0.0013423909235793473,
-    0.00092392888357433747, 0.0021610525743023601, 0, 0,
-    0.00024812757716119438, 0, 0.022196596567933092,
-    0.045045607186181544, 0.046915703768659459, 0.089278218860657788,
-    0.00067580130641314308, 0.0017532377165852618,
-    0.0015118462588219065, 0.0035256451661351911,
-    0.00084847856597559154, 0.0012235186788018778,
-    0.0011504111579217647, 0.0025992407127117534, 0, 0,
-    0.00024812757716119438, 0, 0.03325552878005384, 0.06798823574477135,
-    0.066705805739811261, 0.1197088662996315, 0.0021451047656575821,
-    0.0024929348546315795, 0.0014054076276112651, 0.004884116671489783,
-    0.00074086853640563377, 0.0033674520461001436,
-    0.00099133891028546119, 0.0017162596380463171, 0,
-    0.00060152238717371361, 0, 0,
+    0.022735368045585579, 0.051104897771808676, 0.044159486572745793,
+    0.083707364693378139, 0.0011744998458162043, 0.0020087928794733289,
+    0.0018549969564097418, 0.0018094371344840911,
+    0.00077268869802900764, 0.0025132501278325387,
+    0.0011466659060795398, 0.0018459608424462326, 0, 0,
+    0.00027274950665155272, 0.00030058344638821723,
+    0.023269590951143272, 0.047644183998181655, 0.082960628491900085,
+    0.097248407827356095, 0.00050445724835920954, 0.0018254817580373888,
+    0.00054549901330310543, 0.0029999816038535935,
+    0.00040322954696022999, 0.00046341548341531365,
+    0.0019238726610903024, 0.0023372103754490422, 0, 0,
+    0.00027274950665155272, 0, 0.020846517316859839,
+    0.050176122906581369, 0.043987964767493226, 0.09817704214514486,
+    0.00047210525164079041, 0.00064362705689336363,
+    0.0012082702417076567, 0.0025644000601749446,
+    0.00030058344638821723, 0.0021040841247175206,
+    0.0010454382046805604, 0.001244793949669798, 0, 0,
+    0.00027274950665155272, 0, 0.030855330988579947,
+    0.064256930893405562, 0.065299534288353292, 0.12148182462632512,
+    0.00023170774170765682, 0.0025908990870139531,
+    0.0015102720872689074, 0.0055045420733114865,
+    0.00099570667151118765, 0.0024885992223291414,
+    0.0011202503655159085, 0.0017242540566384094, 0,
+    0.00027274950665155272, 0.00081824851995465815, 0,
 };
 
 class GoldenPipeline : public ::testing::TestWithParam<int>

@@ -350,10 +350,10 @@ TEST(ExecutorGateTest, GateTruncatesTrialCount)
             .front();
     const auto tape = sim::ExecutionTape::build(device, program.physical);
     const sim::Executor executor(device);
+    const auto stop = [](std::uint64_t trial) { return trial < 5; };
     Rng rng(9);
-    const auto counts = executor.run(
-        tape, 100, rng, [](std::uint64_t trial) { return trial < 5; });
-    EXPECT_EQ(counts.total(), 5u);
+    EXPECT_EQ(executor.run(tape, 100, rng, stop).total(), 5u);
+    EXPECT_EQ(executor.runTrajectories(tape, 100, rng, stop).total(), 5u);
 }
 
 TEST(ExecutorGateTest, AlwaysTrueGateMatchesGateFreePath)
@@ -364,11 +364,15 @@ TEST(ExecutorGateTest, AlwaysTrueGateMatchesGateFreePath)
             .front();
     const auto tape = sim::ExecutionTape::build(device, program.physical);
     const sim::Executor executor(device);
+    const auto always = [](std::uint64_t) { return true; };
     Rng a(9), b(9);
-    const auto plain = executor.run(tape, 64, a);
-    const auto gated =
-        executor.run(tape, 64, b, [](std::uint64_t) { return true; });
-    EXPECT_EQ(plain.entries(), gated.entries());
+    EXPECT_EQ(executor.run(tape, 64, a).entries(),
+              executor.run(tape, 64, b, always).entries());
+    // The trajectory engine too: the gate-free call runs batched, the
+    // gated one the scalar loop, bit-identical by the §12 contract.
+    Rng c(9), d(9);
+    EXPECT_EQ(executor.runTrajectories(tape, 64, c).entries(),
+              executor.runTrajectories(tape, 64, d, always).entries());
 }
 
 // ---------------------------------------------------------------------

@@ -353,7 +353,8 @@ TEST(Executor, TrajectoryMatchesExactDistribution)
     Rng rng(23);
     const auto exact = exec.exactDistribution(c);
     const auto empirical = stats::Distribution::fromCounts(
-        exec.run(c, 200000, rng));
+        exec.runTrajectories(ExecutionTape::build(device, c), 200000,
+                             rng));
     double tv = 0.0;
     for (Outcome o = 0; o < 4; ++o)
         tv += std::abs(exact.prob(o) - empirical.prob(o));
@@ -412,7 +413,8 @@ TEST(Executor, DeterministicFastPathMatchesSlowPath)
     Circuit c(14, 2);
     c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
     Rng rng(43);
-    const auto counts = exec.run(c, 100000, rng);
+    const auto counts =
+        exec.runTrajectories(ExecutionTape::build(device, c), 100000, rng);
     const auto exact = exec.exactDistribution(c);
     const auto empirical = stats::Distribution::fromCounts(counts);
     for (Outcome o = 0; o < 4; ++o)
