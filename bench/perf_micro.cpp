@@ -101,20 +101,35 @@ BM_NoisyShotsBv6(benchmark::State &state)
 }
 BENCHMARK(BM_NoisyShotsBv6)->Arg(256)->Arg(1024);
 
+/** The exact law of @p bench compiled onto melbourne. */
 void
-BM_ExactDistributionBv6(benchmark::State &state)
+exactDistribution(benchmark::State &state,
+                  const benchmarks::Benchmark &bench)
 {
     const hw::Device device = hw::Device::melbourne(2);
     const transpile::Transpiler compiler(device);
-    const auto program =
-        compiler.compile(benchmarks::bv6().circuit);
+    const auto program = compiler.compile(bench.circuit);
     const auto tape = sim::ExecutionTape::build(device, program.physical);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             sim::exactLaw(tape, device.calibration()));
     }
 }
+
+void
+BM_ExactDistributionBv6(benchmark::State &state)
+{
+    exactDistribution(state, benchmarks::bv6());
+}
 BENCHMARK(BM_ExactDistributionBv6);
+
+/** 8 active qubits: the member shape that dominates the tape layer. */
+void
+BM_ExactDistributionBv7(benchmark::State &state)
+{
+    exactDistribution(state, benchmarks::bv7());
+}
+BENCHMARK(BM_ExactDistributionBv7);
 
 void
 BM_Vf2PathIntoMelbourne(benchmark::State &state)
@@ -416,7 +431,17 @@ runSimKernelSweep()
                                   benchmark::DoNotOptimize(sim::exactLaw(
                                       tape, device.calibration()));
                               },
-                              3));
+                              50));
+        // bv-7 compiles to 8 active qubits, the largest exact-law
+        // register and the member shape that dominates the tape layer.
+        const auto tape_bv7 = sim::ExecutionTape::build(
+            device, compiler.compile(benchmarks::bv7().circuit).physical);
+        emit("exact_bv7", timeBestNs(
+                              [&] {
+                                  benchmark::DoNotOptimize(sim::exactLaw(
+                                      tape_bv7, device.calibration()));
+                              },
+                              50));
         // Batched-engine width sweep (BM_BatchedShotsBv6): the same
         // noisy shot loop at explicit SoA lane widths, so the guard
         // catches a regression that only hits one batching regime

@@ -65,12 +65,12 @@ struct Terms
     }
 };
 
-/** Insert a zero bit at position @p bit of @p i. */
+/** Next subset of @p mask after @p s (a subset of it), in increasing
+ *  order; wraps to 0 after @p mask. */
 inline std::size_t
-insertZero(std::size_t i, int bit)
+nextSubset(std::size_t s, std::size_t mask)
 {
-    const std::size_t low = i & ((std::size_t(1) << bit) - 1);
-    return ((i ^ low) << 1) | low;
+    return ((s | ~mask) + 1) & mask;
 }
 
 Superop1q
@@ -151,33 +151,32 @@ withLocalFirst(const Superop2q &g, const Superop1q &p0,
 }
 
 /**
- * One in-place pass of @p terms over every n x n block of rho, where
- * n = 2^k for the k operand qubits at ascending bit positions @p bits
- * and @p off holds each block row/column's offset from the block base.
- * Each block is gathered, mapped, optionally mixed toward its
+ * One in-place pass of @p terms over every live n x n block pair of
+ * rho, n = 2^k for k operand qubits; @p off holds each block
+ * row/column's offset from the block base. A block base has zero
+ * operand bits and zero fresh bits; its @p coherent bits range
+ * freely, and its @p classical bits must agree between row and
+ * column. Each block is gathered, mapped, optionally mixed toward its
  * normalized partial trace (rho -> keep * rho + mix * Tr(block) * I,
  * the closed form of depolarizing on the operands), and stored back.
- * rho stays Hermitian, so only blocks on and above the block diagonal
- * are computed; their adjoints are mirrored below it.
+ * rho stays Hermitian, so only pairs with row base <= column base are
+ * computed; their adjoints are mirrored. Returns the pairs computed.
  */
-template <std::size_t N, std::size_t K>
-void
+template <std::size_t N>
+std::uint64_t
 sweepBlocks(std::vector<Complex> &rho, std::size_t dim,
-            const std::array<int, K> &bits,
+            std::size_t coherent, std::size_t classical,
             const std::array<std::size_t, N> &off,
             const Terms<N * N> &terms, double keep, double mix)
 {
-    const auto base = [&](std::size_t i) {
-        for (const int b : bits)
-            i = insertZero(i, b);
-        return i;
-    };
     Complex *m = rho.data();
-    const std::size_t blocks = dim / N;
-    for (std::size_t i = 0; i < blocks; ++i) {
-        const std::size_t r = base(i);
-        for (std::size_t j = i; j < blocks; ++j) {
-            const std::size_t c = base(j);
+    const std::size_t span = coherent | classical;
+    std::uint64_t pairs = 0;
+    for (std::size_t r = 0;; r = nextSubset(r, span)) {
+        // Columns share r's classical bits; their coherent bits run
+        // upward from r's, so c >= r.
+        for (std::size_t s = r & coherent;; s = nextSubset(s, coherent)) {
+            const std::size_t c = (r & classical) | s;
             double vr[N * N], vi[N * N], wr[N * N], wi[N * N];
             for (std::size_t x = 0; x < N; ++x) {
                 for (std::size_t y = 0; y < N; ++y) {
@@ -206,13 +205,36 @@ sweepBlocks(std::vector<Complex> &rho, std::size_t dim,
                 for (std::size_t y = 0; y < N; ++y) {
                     m[(r | off[x]) * dim + (c | off[y])] =
                         Complex(wr[N * x + y], wi[N * x + y]);
-                    if (j != i)
+                    if (c != r)
                         m[(c | off[y]) * dim + (r | off[x])] =
                             Complex(wr[N * x + y], -wi[N * x + y]);
                 }
             }
+            ++pairs;
+            if (s == coherent)
+                break;
+        }
+        if (r == span)
+            break;
+    }
+    return pairs;
+}
+
+/** Does @p s map populations (index 0, 3) to coherences (1, 2) or
+ *  back? Phase-covariant channels — diagonal unitaries, damping,
+ *  dephasing — do not. */
+bool
+couplesPopulationsAndCoherences(const Superop1q &s)
+{
+    for (int o = 0; o < 4; ++o) {
+        for (int i = 0; i < 4; ++i) {
+            const bool pop_out = o == 0 || o == 3;
+            const bool pop_in = i == 0 || i == 3;
+            if (pop_out != pop_in && s[o * 4 + i] != Complex(0.0))
+                return true;
         }
     }
+    return false;
 }
 
 } // namespace
@@ -226,6 +248,7 @@ DensityMatrix::DensityMatrix(int num_qubits)
     rho_[0] = Complex(1.0);
     pending_.assign(static_cast<std::size_t>(num_qubits), identity1q());
     hasPending_.assign(static_cast<std::size_t>(num_qubits), 0);
+    fresh_ = dim_ - 1;
 }
 
 Complex
@@ -240,6 +263,10 @@ void
 DensityMatrix::queue(const Superop1q &s, int q)
 {
     QEDM_REQUIRE(q >= 0 && q < numQubits_, "qubit index out of range");
+    QEDM_REQUIRE(!((classical_ >> q) & 1) ||
+                     !couplesPopulationsAndCoherences(s),
+                 "a factor that mixes populations and coherences on a "
+                 "dephased qubit");
     const auto qi = static_cast<std::size_t>(q);
     pending_[qi] = hasPending_[qi] ? compose(s, pending_[qi]) : s;
     hasPending_[qi] = 1;
@@ -272,6 +299,8 @@ DensityMatrix::apply2q(const std::array<Complex, 16> &m, int q0, int q1,
                  "invalid two-qubit operands");
     QEDM_REQUIRE(depol >= 0.0 && depol <= 1.0,
                  "probability out of range");
+    QEDM_REQUIRE(!((classical_ >> q0) & 1) && !((classical_ >> q1) & 1),
+                 "two-qubit pass on a dephased qubit");
     const auto i0 = static_cast<std::size_t>(q0);
     const auto i1 = static_cast<std::size_t>(q1);
     Superop2q g = unitary2q(m);
@@ -286,9 +315,11 @@ DensityMatrix::apply2q(const std::array<Complex, 16> &m, int q0, int q1,
     // (4p/15) Tr_ab(rho) (x) I_ab.
     const std::size_t m0 = std::size_t(1) << q0;
     const std::size_t m1 = std::size_t(1) << q1;
-    sweepBlocks<4, 2>(rho_, dim_, {std::min(q0, q1), std::max(q0, q1)},
-                      {0, m1, m0, m0 | m1}, Terms<16>(g),
-                      1.0 - 16.0 * depol / 15.0, 4.0 * depol / 15.0);
+    fresh_ &= ~(m0 | m1);
+    blockPairsSwept_ += sweepBlocks<4>(
+        rho_, dim_, (dim_ - 1) & ~(fresh_ | classical_ | m0 | m1),
+        classical_, {0, m1, m0, m0 | m1}, Terms<16>(g),
+        1.0 - 16.0 * depol / 15.0, 4.0 * depol / 15.0);
 }
 
 void
@@ -320,17 +351,47 @@ DensityMatrix::applyDepolarizing2q(double p, int q0, int q1)
 }
 
 void
+DensityMatrix::dephase(int q)
+{
+    QEDM_REQUIRE(q >= 0 && q < numQubits_, "qubit index out of range");
+    const std::size_t bit = std::size_t(1) << q;
+    if (classical_ & bit)
+        return;
+    // A fresh qubit with nothing queued is |0><0|: no coherence to drop.
+    if (!(fresh_ & bit) || hasPending_[static_cast<std::size_t>(q)]) {
+        // Keep only the population rows of the pending factor, so the
+        // flush writes exact zeros to q's coherences.
+        Superop1q keep_populations{};
+        keep_populations[0] = 1.0;
+        keep_populations[15] = 1.0;
+        queue(keep_populations, q);
+        flush(q);
+    }
+    classical_ |= bit;
+}
+
+void
+DensityMatrix::flush(int q) const
+{
+    const auto qi = static_cast<std::size_t>(q);
+    if (!hasPending_[qi])
+        return;
+    const std::size_t bit = std::size_t(1) << q;
+    fresh_ &= ~bit;
+    // On a classical q the block's coherences are dead: they read 0
+    // and, the factor being phase-covariant (queue() checks), map to 0.
+    blockPairsSwept_ += sweepBlocks<2>(
+        rho_, dim_, (dim_ - 1) & ~(fresh_ | classical_ | bit),
+        classical_ & ~bit, {0, bit}, Terms<4>(pending_[qi]), 1.0, 0.0);
+    pending_[qi] = identity1q();
+    hasPending_[qi] = 0;
+}
+
+void
 DensityMatrix::flushAll() const
 {
-    for (int q = 0; q < numQubits_; ++q) {
-        const auto qi = static_cast<std::size_t>(q);
-        if (!hasPending_[qi])
-            continue;
-        sweepBlocks<2, 1>(rho_, dim_, {q}, {0, std::size_t(1) << q},
-                          Terms<4>(pending_[qi]), 1.0, 0.0);
-        pending_[qi] = identity1q();
-        hasPending_[qi] = 0;
-    }
+    for (int q = 0; q < numQubits_; ++q)
+        flush(q);
 }
 
 std::vector<double>

@@ -13,20 +13,28 @@
  * composed into that qubit's *pending* factor without touching rho.
  * A qubit's pending factor is flushed into the next 2-qubit pass that
  * reads it, or into its own pass when rho is read. A 2-qubit pass is
- * one in-place, row-major sweep over 4x4 blocks of rho that applies
- * both operands' pending factors, the gate, and optionally 2-qubit
+ * one in-place sweep over 4x4 blocks of rho that applies both
+ * operands' pending factors, the gate, and optionally 2-qubit
  * depolarizing in closed form:
  *
  *     rho -> (1 - 16p/15) rho + (4p/15) Tr_ab(rho) (x) I_ab.
  *
- * No pass copies the matrix, so a circuit costs one sweep per 2-qubit
- * gate plus one per qubit at the end.
+ * Sweeps visit only the block pairs that can be nonzero. Two qubit
+ * masks bound the support of rho:
+ *  - fresh: no pass has touched the qubit, so rho = rho' (x) |0><0|
+ *    on it (its pending factor is only queued);
+ *  - classical: the qubit was dephased, so its coherences are zero.
+ * A block pair (r, c) is live iff (r | c) & fresh == 0 and
+ * (r ^ c) & classical == 0; every other entry of rho is exactly 0.
+ * No pass copies the matrix, and a pass costs its live block pairs,
+ * not dim^2.
  */
 
 #pragma once
 
 #include <array>
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/op.hpp"
@@ -68,6 +76,16 @@ class DensityMatrix
     /** Two-qubit depolarizing channel with probability @p p. */
     void applyDepolarizing2q(double p, int q0, int q1);
 
+    /**
+     * Flush qubit @p q's pending factor and drop its coherences (the
+     * completely dephasing channel), marking it classical. Exact for
+     * the measured law when every later factor on @p q is diagonal or
+     * phase-covariant (DESIGN.md §19). Afterwards a 2-qubit pass on
+     * @p q throws, and so does queueing a factor that couples its
+     * populations and coherences.
+     */
+    void dephase(int q);
+
     /** Diagonal (basis-state probabilities). */
     std::vector<double> probabilities() const;
 
@@ -76,6 +94,14 @@ class DensityMatrix
 
     /** Purity Tr(rho^2); 1 for pure states. */
     double purity() const;
+
+    /**
+     * Block pairs swept so far: 4x4 pairs in 2-qubit passes plus 2x2
+     * pairs in 1-qubit flushes, counting each Hermitian pair (r, c),
+     * r <= c, once. Deterministic; a dense pass over n qubits counts
+     * B (B + 1) / 2 with B = 2^n / 4 or 2^n / 2.
+     */
+    std::uint64_t blockPairsSwept() const { return blockPairsSwept_; }
 
     /**
      * 1-qubit superoperator, row-major 4x4 over the vectorized 2x2
@@ -87,8 +113,10 @@ class DensityMatrix
   private:
     /** Compose @p s after qubit @p q's pending factor. */
     void queue(const Superop1q &s, int q);
-    /** Apply every pending factor to rho. Logically const: the
-     *  represented state does not change. */
+    /** Apply qubit @p q's pending factor to rho, if any. Logically
+     *  const: the represented state does not change. */
+    void flush(int q) const;
+    /** Apply every pending factor to rho. */
     void flushAll() const;
 
     int numQubits_;
@@ -97,6 +125,11 @@ class DensityMatrix
     /** Per-qubit composed 1-qubit channel not yet applied to rho_. */
     mutable std::vector<Superop1q> pending_;
     mutable std::vector<char> hasPending_;
+    /** Qubits no pass has touched (bit q set). */
+    mutable std::size_t fresh_;
+    /** Dephased qubits (bit q set). */
+    std::size_t classical_ = 0;
+    mutable std::uint64_t blockPairsSwept_ = 0;
 };
 
 } // namespace qedm::sim

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "sim/density_matrix.hpp"
 
 namespace qedm::sim {
 
@@ -59,8 +58,8 @@ applyJointFlip(stats::Distribution &dist, int bit_a, int bit_b, double p)
 
 } // namespace
 
-stats::Distribution
-exactLaw(const ExecutionTape &tape, const hw::Calibration &cal)
+DensityMatrix
+evolveDensityMatrix(const ExecutionTape &tape)
 {
     QEDM_REQUIRE(tape.numLocal <= 10,
                  "exact density-matrix simulation supports at most 10 "
@@ -69,13 +68,26 @@ exactLaw(const ExecutionTape &tape, const hw::Calibration &cal)
                      "; use trajectory sampling (Executor::run) for "
                      "larger circuits");
 
+    // After its last op a qubit only sees crosstalk Rz kicks, idle and
+    // measurement relaxation, and the Z measurement: all diagonal or
+    // phase-covariant, so its coherences never reach the law and it is
+    // dephased right after that op (DESIGN.md §19).
+    std::vector<std::size_t> last_op(
+        static_cast<std::size_t>(tape.numLocal), tape.ops.size());
+    for (std::size_t i = 0; i < tape.ops.size(); ++i) {
+        last_op[static_cast<std::size_t>(tape.ops[i].l0)] = i;
+        if (tape.ops[i].l1 >= 0)
+            last_op[static_cast<std::size_t>(tape.ops[i].l1)] = i;
+    }
+
     // 1-qubit factors queue on their qubit; each 2-qubit op is one
     // pass. Its depolarizing rides in that pass: the channel commutes
     // with the local unitary kicks (over-rotation, control phase,
     // crosstalk) that follow the gate on the tape, so applying it
     // first changes nothing.
     DensityMatrix rho(tape.numLocal);
-    for (const TapeOp &op : tape.ops) {
+    for (std::size_t i = 0; i < tape.ops.size(); ++i) {
+        const TapeOp &op = tape.ops[i];
         for (const auto &[local, kraus] : op.preRelaxation)
             rho.applyKraus1q(kraus, local);
         if (op.l1 < 0) {
@@ -95,11 +107,22 @@ exactLaw(const ExecutionTape &tape, const hw::Calibration &cal)
         }
         for (const auto &[local, kraus] : op.relaxation)
             rho.applyKraus1q(kraus, local);
+        for (const int local : {op.l0, op.l1}) {
+            if (local >= 0 && last_op[static_cast<std::size_t>(local)] == i)
+                rho.dephase(local);
+        }
     }
     for (const auto &m : tape.measures) {
         for (const auto &kraus : m.relaxation)
             rho.applyKraus1q(kraus, m.local);
     }
+    return rho;
+}
+
+stats::Distribution
+exactLaw(const ExecutionTape &tape, const hw::Calibration &cal)
+{
+    const DensityMatrix rho = evolveDensityMatrix(tape);
 
     // Project the basis-state probabilities onto the classical register.
     stats::Distribution dist(tape.numClbits);

@@ -33,6 +33,7 @@
 #include "circuit/circuit.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
+#include "sim/density_matrix.hpp"
 #include "stats/distribution.hpp"
 
 namespace qedm::sim {
@@ -91,13 +92,12 @@ struct TapePairReadout
 
 /**
  * Largest active register whose classical output law a tape carries
- * (DESIGN.md §19). At 8 active qubits one fused density-matrix
- * evolution costs about as much as the 256 trajectories of one
- * member's share of a grid-recompile round, and it is shared by every
- * batch of the tape; at 9 it costs ~5x those trajectories (~90 ms
- * against ~17 ms), so above the cut the tape leaves the law empty
- * and shots run on the trajectory engine. Deliberately a constant,
- * not an option.
+ * (DESIGN.md §19); above it the tape leaves the law empty and shots
+ * run on the trajectory engine. The law is shared by every batch of
+ * the tape. At 8 active qubits a BV law costs under a tenth of 256
+ * trajectories, and it stays below 256 trajectories at 9 and 10
+ * qubits too. The cut stays 8 because no workload has a member above
+ * it. Deliberately a constant, not an option.
  */
 inline constexpr int kExactLawMaxQubits = 8;
 
@@ -135,6 +135,15 @@ struct ExecutionTape
     static ExecutionTape build(const hw::Device &device,
                                const circuit::Circuit &physical);
 };
+
+/**
+ * The fused density-matrix evolution behind exactLaw: every gate and
+ * noise channel on @p tape through the measurement-window relaxation,
+ * each qubit dephased right after its last op (DESIGN.md §19). Its
+ * diagonal is the pre-readout law. At most 10 active qubits; throws
+ * UserError above that.
+ */
+DensityMatrix evolveDensityMatrix(const ExecutionTape &tape);
 
 /**
  * Exact output distribution of @p tape's classical register under

@@ -16,6 +16,10 @@
  *    (pi N)). Both bounds follow from N and the law alone;
  *  - a TrialGate stopping at trial L returns exactly L trials,
  *    identical to an ungated run of L trials on the same seed.
+ *
+ * The sparse support (untouched and dephased qubits) is held to the
+ * same reference on the tape shapes it special-cases, and its sweep
+ * count to a tenth of a dense evolution's on the largest members.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +35,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "common/bits.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/edm.hpp"
 #include "core/ensemble.hpp"
@@ -167,6 +172,14 @@ class ReferenceDensityMatrix
                 acc[i] += (p / 15.0) * rho_[i];
         }
         rho_ = std::move(acc);
+    }
+
+    double purity() const
+    {
+        double p = 0.0;
+        for (const Complex &v : rho_)
+            p += std::norm(v);
+        return p;
     }
 
     std::vector<double> probabilities() const
@@ -361,6 +374,18 @@ expectedTv(const stats::Distribution &law, std::uint64_t n)
 
 constexpr std::uint64_t kTotalTrials = 4096;
 
+double
+maxAbsDiff(const stats::Distribution &a, const stats::Distribution &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    double max_dp = 0.0;
+    for (std::size_t o = 0; o < std::min(a.size(), b.size()); ++o) {
+        max_dp = std::max(max_dp, std::abs(a.probabilities()[o] -
+                                           b.probabilities()[o]));
+    }
+    return max_dp;
+}
+
 class ExactLawTest : public ::testing::TestWithParam<std::string>
 {
 };
@@ -384,15 +409,8 @@ checkDevice(const hw::Device &device, const benchmarks::Benchmark &bench,
 
         // Fused law against the reference evolution.
         const stats::Distribution law = exec.exactDistribution(tape);
-        const stats::Distribution ref =
-            referenceLaw(tape, device.calibration());
-        ASSERT_EQ(law.size(), ref.size());
-        double max_dp = 0.0;
-        for (std::size_t o = 0; o < law.size(); ++o) {
-            max_dp = std::max(max_dp, std::abs(law.probabilities()[o] -
-                                               ref.probabilities()[o]));
-        }
-        EXPECT_LE(max_dp, 1e-12);
+        EXPECT_LE(maxAbsDiff(law, referenceLaw(tape, device.calibration())),
+                  1e-12);
 
         // Exact sampler against trajectories at the member share.
         const std::uint64_t n = shares[m];
@@ -486,6 +504,225 @@ TEST(ExactLaw, ClosedFormDepolarizingEqualsPauliSum)
         }
     }
     EXPECT_NEAR(fused.trace(), 1.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// Sparse support: untouched and dephased qubits.
+// ---------------------------------------------------------------------
+
+/** Tape of @p physical on @p device, its fused law held to the
+ *  reference evolution. */
+sim::ExecutionTape
+checkedTape(const hw::Device &device, const circuit::Circuit &physical)
+{
+    const auto tape = sim::ExecutionTape::build(device, physical);
+    EXPECT_TRUE(tape.hasLaw());
+    EXPECT_LE(maxAbsDiff(sim::exactLaw(tape, device.calibration()),
+                         referenceLaw(tape, device.calibration())),
+              1e-12);
+    return tape;
+}
+
+/** Index of the last tape op on local qubit @p local, or -1. */
+int
+lastOp(const sim::ExecutionTape &tape, int local)
+{
+    int last = -1;
+    for (std::size_t i = 0; i < tape.ops.size(); ++i) {
+        if (tape.ops[i].l0 == local || tape.ops[i].l1 == local)
+            last = static_cast<int>(i);
+    }
+    return last;
+}
+
+int
+localOf(const sim::ExecutionTape &tape, int phys)
+{
+    const auto it = std::find(tape.localToPhys.begin(),
+                              tape.localToPhys.end(), phys);
+    return static_cast<int>(it - tape.localToPhys.begin());
+}
+
+TEST(ExactLawSparse, CrosstalkKicksAfterLastGate)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const hw::Topology &topo = device.topology();
+    // A CX on (a, b) that kicks a spectator s, which itself has a
+    // partner t off that edge for its own last gate.
+    for (std::size_t e = 0; e < topo.edges().size(); ++e) {
+        const auto [a, b] = topo.edges()[e];
+        for (const auto &xt : device.noise().crosstalk(e)) {
+            const int s = xt.spectator;
+            for (const int t : topo.neighbors(s)) {
+                if (t == a || t == b)
+                    continue;
+                circuit::Circuit c(topo.numQubits(), 4);
+                c.h(s).cx(s, t).h(a).cx(a, b).rx(0.3, b).cx(a, b);
+                c.measure(a, 0).measure(b, 1).measure(s, 2).measure(t, 3);
+                const auto tape = checkedTape(device, c);
+                const int ls = localOf(tape, s);
+                const auto &kicked = tape.ops.back().crosstalk;
+                ASSERT_LT(lastOp(tape, ls),
+                          static_cast<int>(tape.ops.size()) - 1);
+                EXPECT_TRUE(std::any_of(kicked.begin(), kicked.end(),
+                                        [&](const auto &k) {
+                                            return k.first == ls;
+                                        }));
+                return;
+            }
+        }
+    }
+    FAIL() << "no crosstalk spectator with a partner off its edge";
+}
+
+TEST(ExactLawSparse, UnmeasuredActiveQubit)
+{
+    // Bernstein-Vazirani with key 11: the ancilla b is active but
+    // never measured.
+    const hw::Device device = hw::Device::melbourne(2);
+    const hw::Topology &topo = device.topology();
+    for (int b = 0; b < topo.numQubits(); ++b) {
+        const auto &nb = topo.neighbors(b);
+        if (nb.size() < 2)
+            continue;
+        const int a = nb[0], c = nb[1];
+        circuit::Circuit bv(topo.numQubits(), 2);
+        bv.x(b).h(b).h(a).h(c).cx(a, b).cx(c, b).h(a).h(c);
+        bv.measure(a, 0).measure(c, 1);
+        const auto tape = checkedTape(device, bv);
+        EXPECT_EQ(tape.numLocal, 3);
+        EXPECT_EQ(tape.measures.size(), 2u);
+        return;
+    }
+    FAIL() << "no qubit with two neighbors";
+}
+
+TEST(ExactLawSparse, QubitTouchedOnlyByOneQubitGates)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const hw::Topology &topo = device.topology();
+    const auto [a, b] = topo.edges().front();
+    int u = 0;
+    while (u == a || u == b)
+        ++u;
+    circuit::Circuit c(topo.numQubits(), 3);
+    c.h(u).ry(0.4, u).h(a).cx(a, b).t(u);
+    c.measure(a, 0).measure(b, 1).measure(u, 2);
+    const auto tape = checkedTape(device, c);
+    const int lu = localOf(tape, u);
+    for (const auto &op : tape.ops)
+        EXPECT_TRUE(op.l1 < 0 || (op.l0 != lu && op.l1 != lu));
+}
+
+TEST(ExactLawSparse, OneQubitRegister)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    circuit::Circuit c(device.topology().numQubits(), 1);
+    c.h(3).rx(0.3, 3).measure(3, 0);
+    const auto tape = checkedTape(device, c);
+    EXPECT_EQ(tape.numLocal, 1);
+}
+
+TEST(ExactLawSparse, DephaseDropsCoherencesExactly)
+{
+    sim::DensityMatrix fused(3);
+    ReferenceDensityMatrix ref(3);
+    const auto h = circuit::gateMatrix1q(circuit::OpKind::H, {});
+    const auto ry = circuit::gateMatrix1q(circuit::OpKind::Ry, {0.7});
+    const auto rz = circuit::gateMatrix1q(circuit::OpKind::Rz, {1.3});
+    const auto cx = circuit::gateMatrix2q(circuit::OpKind::Cx);
+    const sim::Kraus1q damp = sim::amplitudeDamping(0.2);
+    const sim::Kraus1q dephasing = {{1, 0, 0, 0}, {0, 0, 0, 1}};
+    for (int q = 0; q < 3; ++q) {
+        fused.apply1q(h, q);
+        ref.apply1q(h, q);
+    }
+    fused.apply1q(ry, 1);
+    ref.apply1q(ry, 1);
+    fused.apply2q(cx, 1, 2);
+    ref.apply2q(cx, 1, 2);
+    fused.apply2q(cx, 0, 1);
+    ref.apply2q(cx, 0, 1);
+    fused.applyKraus1q(damp, 1);
+    ref.applyKraus1q(damp, 1);
+
+    fused.dephase(1);
+    ref.applyKraus1q(dephasing, 1);
+    const auto compare = [&](const char *when) {
+        for (std::size_t r = 0; r < fused.dim(); ++r) {
+            for (std::size_t c = 0; c < fused.dim(); ++c) {
+                if ((r ^ c) & 2) {
+                    EXPECT_EQ(fused.at(r, c), Complex(0.0))
+                        << "(" << r << ", " << c << ") " << when;
+                }
+                EXPECT_LE(std::abs(fused.at(r, c) - ref.at(r, c)), 1e-12)
+                    << "(" << r << ", " << c << ") " << when;
+            }
+        }
+        EXPECT_NEAR(fused.purity(), ref.purity(), 1e-12) << when;
+        EXPECT_LT(fused.purity(), 1.0 - 1e-3) << when;
+    };
+    compare("after dephase");
+
+    // Diagonal and phase-covariant factors still queue on it, and the
+    // other qubits keep evolving.
+    fused.apply1q(rz, 1);
+    ref.apply1q(rz, 1);
+    fused.applyKraus1q(damp, 1);
+    ref.applyKraus1q(damp, 1);
+    fused.applyKraus1q(sim::phaseDamping(0.3), 1);
+    ref.applyKraus1q(sim::phaseDamping(0.3), 1);
+    fused.apply1q(ry, 2);
+    ref.apply1q(ry, 2);
+    fused.apply2q(cx, 2, 0);
+    ref.apply2q(cx, 2, 0);
+    compare("after later factors");
+
+    // Misuse fails loudly instead of returning a wrong law.
+    EXPECT_THROW(fused.apply2q(cx, 1, 0), UserError);
+    EXPECT_THROW(fused.apply2q(cx, 2, 1), UserError);
+    EXPECT_THROW(fused.applyDepolarizing2q(0.1, 0, 1), UserError);
+    EXPECT_THROW(fused.apply1q(h, 1), UserError);
+    EXPECT_THROW(fused.apply1q(ry, 1), UserError);
+    compare("after refused calls");
+}
+
+TEST(ExactLawSparse, SweepsATenthOfTheDenseBlockPairs)
+{
+    // A dense evolution makes one 4x4-block pass per 2-qubit op and,
+    // since every op queues relaxation on its operands, one 2x2-block
+    // pass per qubit at the end; a pass over B blocks computes
+    // B (B + 1) / 2 Hermitian pairs.
+    const auto pairs = [](std::uint64_t blocks) {
+        return blocks * (blocks + 1) / 2;
+    };
+    const hw::Device device = hw::Device::melbourne(2);
+    const core::EnsembleBuilder builder(device);
+    for (const char *name : {"bv-6", "bv-7", "decode-24"}) {
+        const auto members =
+            builder.build(benchmarks::byName(name).circuit);
+        ASSERT_FALSE(members.empty());
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            SCOPED_TRACE(std::string(name) + " member " +
+                         std::to_string(m));
+            const auto tape =
+                sim::ExecutionTape::build(device, members[m].physical);
+            const sim::DensityMatrix rho = sim::evolveDensityMatrix(tape);
+            rho.probabilities();
+            const std::uint64_t dim = rho.dim();
+            const auto two_qubit = static_cast<std::uint64_t>(
+                std::count_if(tape.ops.begin(), tape.ops.end(),
+                              [](const sim::TapeOp &op) {
+                                  return op.l1 >= 0;
+                              }));
+            const std::uint64_t dense =
+                two_qubit * pairs(dim / 4) +
+                static_cast<std::uint64_t>(tape.numLocal) *
+                    pairs(dim / 2);
+            EXPECT_LE(10 * rho.blockPairsSwept(), dense)
+                << rho.blockPairsSwept() << " of " << dense;
+        }
+    }
 }
 
 } // namespace
