@@ -13,8 +13,8 @@
  *    see bench/compare_bench.py);
  *  - a compile-path sweep over the guarded placement/routing kernels
  *    (pruned VF2 enumeration, bounded top-K placement search, the
- *    lookahead router, ensemble candidate generation), writing
- *    BENCH_compile.json in the same format;
+ *    lookahead router, ensemble candidate generation and selection),
+ *    writing BENCH_compile.json in the same format;
  *  - a runtime-scaling sweep timing a 4-round K=4 experiment at
  *    --jobs 1/2/4/8, writing BENCH_runtime.json plus the
  *    speedup-over-sequential summary to stdout.
@@ -188,6 +188,15 @@ heavyHex127Device()
 {
     return hw::Device::synthetic("heavy-hex-127",
                                  hw::Topology::heavyHex127(),
+                                 hw::CalibrationSpec{}, hw::NoiseSpec{},
+                                 7);
+}
+
+/** The 8x8 grid of the grid-recompile workload (calibration seed 7). */
+hw::Device
+grid8x8Device()
+{
+    return hw::Device::synthetic("grid-8x8", hw::Topology::grid(8, 8),
                                  hw::CalibrationSpec{}, hw::NoiseSpec{},
                                  7);
 }
@@ -625,9 +634,22 @@ runCompileSweep()
                          builder.candidates(logical));
                  },
                  5, 1));
-        // build(), the call the EDM pipeline makes: rank every qubit
-        // set, materialize only the members it returns.
+        // build(), the call the EDM pipeline makes: one bounded
+        // search per member, materializing only the members it returns.
         emit("ensemble_build_bv6",
+             timeBestNs(
+                 [&] { benchmark::DoNotOptimize(builder.build(logical)); },
+                 5, 1));
+    }
+    {
+        // build() where enumerating every embedding is expensive: the
+        // routed bv-6 seed pattern has 2,956,608 embeddings on the 8x8
+        // grid, more than vf2Limit. A return to enumerate-all costs
+        // orders of magnitude here.
+        const hw::Device grid = grid8x8Device();
+        const core::EnsembleBuilder builder(grid);
+        const auto logical = benchmarks::bv6().circuit;
+        emit("ensemble_build_grid_bv6",
              timeBestNs(
                  [&] { benchmark::DoNotOptimize(builder.build(logical)); },
                  5, 1));

@@ -1,9 +1,9 @@
 #include "core/ensemble.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -12,6 +12,7 @@
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/esp_model.hpp"
+#include "transpile/placement_search.hpp"
 #include "transpile/vf2.hpp"
 
 namespace qedm::core {
@@ -47,40 +48,104 @@ candidateBefore(const CandidateRecord &a, const CandidateRecord &b)
     return a.relabel < b.relabel;
 }
 
-/** Fraction of @p a's qubits also present in @p b. */
-double
-overlapFraction(std::uint64_t a, std::uint64_t b)
+/** The qubit set an embedding targets, as a bitmask. */
+std::uint64_t
+maskOf(const std::vector<int> &embedding)
 {
-    return static_cast<double>(std::popcount(a & b)) /
-           static_cast<double>(std::popcount(a));
+    std::uint64_t mask = 0;
+    for (int q : embedding)
+        mask |= std::uint64_t{1} << q;
+    return mask;
 }
 
 /**
- * One build's candidates: the compiled seed plus one row per distinct
- * qubit set, sorted by candidateBefore. Rows are materialized (and
- * verified) one at a time, on demand.
+ * The overlap cap as an integer: the most qubits a candidate may
+ * share with each picked member. The greedy skips a candidate whose
+ * shared fraction s / |set| exceeds @p cap, so this is the largest s
+ * that passes that test, evaluated with the same double expression.
+ * At cap >= 1.0 the cap is off; |set| - 1 then excludes only the
+ * picked qubit sets themselves (every candidate has |set| qubits).
  */
-struct Ranking
+int
+maxSharedUnder(double cap, int set_size)
+{
+    if (cap >= 1.0)
+        return set_size - 1;
+    int shared = 0;
+    while (shared < set_size &&
+           !(static_cast<double>(shared + 1) /
+                 static_cast<double>(set_size) >
+             cap))
+        ++shared;
+    return shared;
+}
+
+/**
+ * The compiled seed and what every policy derives from it once: the
+ * pattern (the induced subgraph on the qubits the seed touches,
+ * including any SWAP waypoints), its gate trace re-indexed to pattern
+ * slots, and the calibration's ESP tables. Candidate records are
+ * materialized (and verified) against it one at a time, on demand.
+ */
+struct Seed
 {
     const hw::DeviceView &view;
     const circuit::Circuit &logical;
     bool verify;
-    CompiledProgram seed;
-    std::vector<CandidateRecord> rows;
+    CompiledProgram program;
+    std::vector<int> used; ///< pattern slot -> seed physical qubit
+    hw::Topology pattern;
+    /** The seed's ESP terms with operands re-indexed to pattern slots:
+     *  an embedding (slot -> physical) is then itself the map
+     *  espOfTrace walks. These are the factors esp() multiplies on the
+     *  materialized circuit, in the same order, so the scores are
+     *  bit-identical without building a circuit or a relabeling. */
+    transpile::GateTrace trace;
+    std::shared_ptr<const transpile::EspModel> model;
 
-    /** The isomorphic transfer of the seed onto row @p i. */
-    CompiledProgram
-    member(std::size_t i) const
+    /**
+     * The record of @p embedding: its qubit set, score, and full
+     * physical-to-physical relabeling. Used qubits move via the
+     * embedding; the rest fill the remaining slots in ascending order
+     * (their placement is irrelevant, no gate touches them).
+     */
+    void
+    fill(const std::vector<int> &embedding, double esp,
+         CandidateRecord &rec) const
     {
-        const CandidateRecord &rec = rows[i];
+        const int n = view.device().numQubits();
+        rec.usedMask = maskOf(embedding);
+        rec.esp = esp;
+        rec.relabel.assign(static_cast<std::size_t>(n), -1);
+        for (std::size_t i = 0; i < used.size(); ++i)
+            rec.relabel[used[i]] = embedding[i];
+        std::uint64_t taken = rec.usedMask;
+        int next = 0;
+        for (int &target : rec.relabel) {
+            if (target >= 0)
+                continue;
+            while ((taken >> next) & 1U)
+                ++next;
+            target = next;
+            taken |= std::uint64_t{1} << next;
+        }
+        rec.initialMap.clear();
+        for (int p : program.initialMap)
+            rec.initialMap.push_back(rec.relabel[p]);
+    }
+
+    /** The isomorphic transfer of the seed onto @p rec. */
+    CompiledProgram
+    member(const CandidateRecord &rec) const
+    {
         CompiledProgram out;
-        out.physical = seed.physical.remapQubits(
+        out.physical = program.physical.remapQubits(
             rec.relabel, view.device().numQubits());
         out.initialMap = rec.initialMap;
-        out.finalMap.reserve(seed.finalMap.size());
-        for (int p : seed.finalMap)
+        out.finalMap.reserve(program.finalMap.size());
+        for (int p : program.finalMap)
             out.finalMap.push_back(rec.relabel[p]);
-        out.swapCount = seed.swapCount;
+        out.swapCount = program.swapCount;
         out.esp = rec.esp;
         // Isomorphic transfer must preserve validity; verify every
         // member the builder hands out, not just the compiled seed.
@@ -100,28 +165,19 @@ struct Ranking
     }
 
     std::vector<CompiledProgram>
-    members(const std::vector<std::size_t> &picks) const
+    members(const std::vector<CandidateRecord> &records) const
     {
         std::vector<CompiledProgram> out;
-        out.reserve(picks.size());
-        for (std::size_t i : picks)
-            out.push_back(member(i));
-        return out;
-    }
-
-    /** Row indices 0 .. @p n - 1. */
-    static std::vector<std::size_t>
-    prefix(std::size_t n)
-    {
-        std::vector<std::size_t> out(n);
-        std::iota(out.begin(), out.end(), std::size_t{0});
+        out.reserve(records.size());
+        for (const CandidateRecord &rec : records)
+            out.push_back(member(rec));
         return out;
     }
 };
 
-Ranking
-rankCandidates(const hw::DeviceView &view, const EnsembleConfig &config,
-               const circuit::Circuit &logical)
+Seed
+compileSeed(const hw::DeviceView &view, const EnsembleConfig &config,
+            const circuit::Circuit &logical)
 {
     transpile::Transpiler compiler(view, config.routeCost,
                                    config.verifyPasses);
@@ -129,18 +185,14 @@ rankCandidates(const hw::DeviceView &view, const EnsembleConfig &config,
     std::shared_ptr<const CompiledProgram> cached;
     if (config.compileCache != nullptr)
         cached = config.compileCache->getOrCompile(compiler, logical);
-    Ranking out{view, logical, config.verifyPasses,
-                cached ? *cached : compiler.compile(logical), {}};
-    const CompiledProgram &seed = out.seed;
+    CompiledProgram program = cached ? *cached : compiler.compile(logical);
     const hw::Topology &topo = view.device().topology();
     const int n = topo.numQubits();
     // The seed's physical circuit spans the device register, which
     // Circuit caps at 64 qubits, so one word keys every qubit set.
     QEDM_ASSERT(n <= 64, "qubit-set keys hold at most 64 qubits");
 
-    // Pattern: the induced subgraph on the qubits the seed executable
-    // touches (including any SWAP waypoints).
-    const std::vector<int> used = seed.usedQubits();
+    std::vector<int> used = program.usedQubits();
     QEDM_ASSERT(!used.empty(), "compiled program uses no qubits");
     std::vector<int> patternIndex(static_cast<std::size_t>(n), -1);
     for (std::size_t i = 0; i < used.size(); ++i)
@@ -151,81 +203,128 @@ rankCandidates(const hw::DeviceView &view, const EnsembleConfig &config,
             pattern_edges.emplace_back(patternIndex[edge.a],
                                        patternIndex[edge.b]);
     }
-    const hw::Topology pattern(static_cast<int>(used.size()),
-                               pattern_edges);
+    hw::Topology pattern(static_cast<int>(used.size()), pattern_edges);
 
-    // Score every transfer from the seed's gate trace, re-indexed once
-    // to pattern slots: an embedding (slot -> physical) is then itself
-    // the map espOfTrace walks. These are the factors esp() multiplies
-    // on the materialized circuit, in the same order, so the scores
-    // are bit-identical without building a circuit or a relabeling.
-    const auto model = transpile::sharedEspModel(view);
     transpile::GateTrace trace =
-        transpile::EspModel::trace(seed.physical.decomposed());
+        transpile::EspModel::trace(program.physical.decomposed());
     for (transpile::GateTerm &term : trace) {
         term.a = patternIndex[term.a];
         if (term.kind == transpile::GateTerm::Kind::TwoQubit)
             term.b = patternIndex[term.b];
     }
+    return Seed{view,
+                logical,
+                config.verifyPasses,
+                std::move(program),
+                std::move(used),
+                std::move(pattern),
+                std::move(trace),
+                transpile::sharedEspModel(view)};
+}
 
-    // Full physical-to-physical relabeling: used qubits move via the
-    // embedding; the rest fill the remaining slots in ascending order
-    // (their placement is irrelevant, no gate touches them).
-    const auto fill = [&](const std::vector<int> &embedding,
-                          CandidateRecord &rec) {
-        rec.relabel.assign(static_cast<std::size_t>(n), -1);
-        for (std::size_t i = 0; i < used.size(); ++i)
-            rec.relabel[used[i]] = embedding[i];
-        std::uint64_t taken = rec.usedMask;
-        int next = 0;
-        for (int &target : rec.relabel) {
-            if (target >= 0)
-                continue;
-            while ((taken >> next) & 1U)
-                ++next;
-            target = next;
-            taken |= std::uint64_t{1} << next;
-        }
-        rec.initialMap.clear();
-        for (int p : seed.initialMap)
-            rec.initialMap.push_back(rec.relabel[p]);
-    };
-
-    // The paper ranks isomorphic *sub-graphs*: automorphic relabelings
-    // of one qubit set collapse onto its best under candidateBefore.
-    // Embeddings stream past; only a set's first embedding, a strictly
-    // better ESP, or an exact ESP tie pays for a relabeling. The map is
-    // only looked up, never iterated: the rows vector holds the order.
+/**
+ * Every distinct qubit set among the first @p vf2_limit embeddings,
+ * as its best embedding under candidateBefore, sorted best first: the
+ * rows the exhaustive policies (candidates, buildRandom) draw from.
+ *
+ * The paper ranks isomorphic *sub-graphs*: automorphic relabelings of
+ * one qubit set collapse onto its best. Embeddings stream past; only
+ * a set's first embedding, a strictly better ESP, or an exact ESP tie
+ * pays for a relabeling. The map is only looked up, never iterated:
+ * the rows vector holds the order.
+ */
+std::vector<CandidateRecord>
+rankAll(const Seed &seed, std::size_t vf2_limit)
+{
+    std::vector<CandidateRecord> rows;
     std::unordered_map<std::uint64_t, std::size_t> rowOf;
     CandidateRecord challenger;
     transpile::vf2ForEachEmbedding(
-        pattern, topo, config.vf2Limit, view.maskPtr(),
-        [&](const std::vector<int> &embedding) {
-            std::uint64_t mask = 0;
-            for (int q : embedding)
-                mask |= std::uint64_t{1} << q;
-            const double esp = model->espOfTrace(trace, embedding);
+        seed.pattern, seed.view.device().topology(), vf2_limit,
+        seed.view.maskPtr(), [&](const std::vector<int> &embedding) {
+            const double esp =
+                seed.model->espOfTrace(seed.trace, embedding);
             const auto [slot, fresh] =
-                rowOf.try_emplace(mask, out.rows.size());
+                rowOf.try_emplace(maskOf(embedding), rows.size());
             if (fresh) {
-                CandidateRecord &rec = out.rows.emplace_back();
-                rec.usedMask = mask;
-                rec.esp = esp;
-                fill(embedding, rec);
+                seed.fill(embedding, esp, rows.emplace_back());
                 return;
             }
-            CandidateRecord &best = out.rows[slot->second];
+            CandidateRecord &best = rows[slot->second];
             if (esp < best.esp)
                 return;
-            challenger.usedMask = mask;
-            challenger.esp = esp;
-            fill(embedding, challenger);
+            seed.fill(embedding, esp, challenger);
             if (candidateBefore(challenger, best))
                 std::swap(challenger, best);
         });
-    QEDM_ASSERT(!out.rows.empty(), "identity embedding must always exist");
-    std::sort(out.rows.begin(), out.rows.end(), candidateBefore);
-    return out;
+    QEDM_ASSERT(!rows.empty(), "identity embedding must always exist");
+    std::sort(rows.begin(), rows.end(), candidateBefore);
+    return rows;
+}
+
+/**
+ * The overlap-capped greedy, one search per pick (DESIGN.md §13).
+ *
+ * Walking the ranked rows and taking the first that passes the cap
+ * against the earlier picks is the same as taking the best embedding,
+ * under candidateBefore, among those whose qubit set shares at most
+ * maxSharedUnder(cap) qubits with every picked set: rows skipped
+ * earlier in a pass only face more picks later, and a set's best
+ * embedding outranks its other embeddings. So each pick is one top-1
+ * branch-and-bound query with a host-set constraint, and no query
+ * enumerates the embeddings it can prove lose. If the cap starves the
+ * ensemble below @p want, it is relaxed by 0.25 for the *remaining*
+ * picks only, so the tight-cap prefix (the most diverse members) is
+ * preserved; at cap >= 1.0 the greedy takes the next-best sets in
+ * order. Serial on purpose: each query is small, and the effort
+ * counters summed into @p stats stay reproducible.
+ */
+std::vector<CandidateRecord>
+selectGreedy(const Seed &seed, std::size_t want, double max_overlap,
+             transpile::PlacementSearchStats *stats)
+{
+    std::vector<int> slots(seed.used.size());
+    std::iota(slots.begin(), slots.end(), 0);
+    const transpile::PlacementCostModel cost(seed.model, seed.pattern,
+                                             slots, seed.trace,
+                                             seed.view.maskPtr());
+    const transpile::PlacementSearchPlan plan(seed.pattern, cost,
+                                              seed.view.maskPtr());
+    // The search orders by (esp, key, embedding). With the key
+    // initialMap ++ relabel (initialMap has a fixed length) that is
+    // candidateBefore, and the relabeling already decides the
+    // embedding.
+    CandidateRecord scratch;
+    const transpile::EmbeddingScorer scorer =
+        [&](const std::vector<int> &embedding, std::vector<int> &key,
+            double &esp) {
+            esp = seed.model->espOfTrace(seed.trace, embedding);
+            seed.fill(embedding, esp, scratch);
+            key = scratch.initialMap;
+            key.insert(key.end(), scratch.relabel.begin(),
+                       scratch.relabel.end());
+        };
+
+    const int set_size = static_cast<int>(seed.used.size());
+    transpile::HostSetConstraint constraint;
+    std::vector<CandidateRecord> picks;
+    double cap = max_overlap;
+    while (picks.size() < want) {
+        constraint.maxShared = maxSharedUnder(cap, set_size);
+        const auto best = transpile::topKPlacements(
+            plan, scorer, 1, std::numeric_limits<std::size_t>::max(),
+            stats, nullptr, &constraint);
+        if (best.empty()) {
+            if (cap >= 1.0)
+                break;
+            cap += 0.25;
+            continue;
+        }
+        const std::vector<int> &embedding = best.front().embedding;
+        seed.fill(embedding, best.front().esp, picks.emplace_back());
+        constraint.avoid.push_back(embedding);
+    }
+    return picks;
 }
 
 } // namespace
@@ -243,20 +342,24 @@ EnsembleBuilder::EnsembleBuilder(const hw::Device &device,
                  "expected dropout probability must be in [0, 1)");
     QEDM_REQUIRE(config_.plannedDropouts >= 0,
                  "planned dropout count must be non-negative");
+    // NaN would skip every cap test and never relax to >= 1.0.
+    QEDM_REQUIRE(std::isfinite(config_.maxOverlap) &&
+                     config_.maxOverlap >= 0.0,
+                 "maxOverlap must be finite and non-negative");
 }
 
 std::vector<CompiledProgram>
 EnsembleBuilder::candidates(const circuit::Circuit &logical) const
 {
-    const Ranking ranking = rankCandidates(view_, config_, logical);
-    return ranking.members(Ranking::prefix(ranking.rows.size()));
+    const Seed seed = compileSeed(view_, config_, logical);
+    return seed.members(rankAll(seed, config_.vf2Limit));
 }
 
 std::vector<CompiledProgram>
-EnsembleBuilder::build(const circuit::Circuit &logical) const
+EnsembleBuilder::build(const circuit::Circuit &logical,
+                       transpile::PlacementSearchStats *stats) const
 {
-    const Ranking ranking = rankCandidates(view_, config_, logical);
-    const std::vector<CandidateRecord> &rows = ranking.rows;
+    const Seed seed = compileSeed(view_, config_, logical);
     // Fault-aware sizing: when the fault plan predicts member dropout,
     // over-provision K so the ensemble *expected to survive* still has
     // config_.size members — size / (1 - p) against probabilistic
@@ -268,39 +371,8 @@ EnsembleBuilder::build(const circuit::Circuit &logical) const
                    static_cast<double>(config_.size) / (1.0 - p))) +
                static_cast<std::size_t>(config_.plannedDropouts);
     }
-
-    // Greedy top-K selection under the overlap cap, on the rows' qubit
-    // sets. If the cap starves the ensemble below K, it is relaxed
-    // progressively for the *remaining* slots only, so the tight-cap
-    // prefix (the most diverse members) is preserved. Only the picked
-    // rows are materialized.
-    std::vector<std::size_t> picks;
-    std::vector<bool> taken(rows.size(), false);
-    for (double cap = config_.maxOverlap;
-         picks.size() < want && picks.size() < rows.size(); cap += 0.25) {
-        for (std::size_t i = 0; i < rows.size() && picks.size() < want;
-             ++i) {
-            if (taken[i])
-                continue;
-            bool ok = true;
-            if (cap < 1.0) {
-                for (std::size_t prev : picks) {
-                    if (overlapFraction(rows[i].usedMask,
-                                        rows[prev].usedMask) > cap) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if (ok) {
-                picks.push_back(i);
-                taken[i] = true;
-            }
-        }
-        if (cap >= 1.0)
-            break;
-    }
-    return ranking.members(picks);
+    return seed.members(
+        selectGreedy(seed, want, config_.maxOverlap, stats));
 }
 
 std::vector<CompiledProgram>
@@ -308,9 +380,10 @@ EnsembleBuilder::buildPredictive(const circuit::Circuit &logical,
                                  std::size_t pool_size) const
 {
     QEDM_REQUIRE(pool_size >= 2, "predictive pool needs >= 2 members");
-    const Ranking ranking = rankCandidates(view_, config_, logical);
-    const std::vector<CompiledProgram> pool = ranking.members(
-        Ranking::prefix(std::min(pool_size, ranking.rows.size())));
+    const Seed seed = compileSeed(view_, config_, logical);
+    // The pool is the ranked prefix: the greedy with the cap off.
+    const std::vector<CompiledProgram> pool =
+        seed.members(selectGreedy(seed, pool_size, 1.0, nullptr));
     const std::size_t want = std::min<std::size_t>(
         static_cast<std::size_t>(config_.size), pool.size());
 
@@ -370,11 +443,14 @@ std::vector<CompiledProgram>
 EnsembleBuilder::buildRandom(const circuit::Circuit &logical,
                              Rng &rng) const
 {
-    const Ranking ranking = rankCandidates(view_, config_, logical);
-    std::vector<std::size_t> order = Ranking::prefix(ranking.rows.size());
-    if (static_cast<int>(order.size()) <= config_.size)
-        return ranking.members(order);
-    std::vector<std::size_t> picks{0}; // keep the compile-time best
+    const Seed seed = compileSeed(view_, config_, logical);
+    std::vector<CandidateRecord> rows = rankAll(seed, config_.vf2Limit);
+    if (static_cast<int>(rows.size()) <= config_.size)
+        return seed.members(rows);
+    std::vector<std::size_t> order(rows.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::vector<CandidateRecord> picks;
+    picks.push_back(std::move(rows.front())); // keep the compile-time best
     // Fisher-Yates over the remaining row indices.
     for (std::size_t i = 1;
          i < order.size() &&
@@ -384,9 +460,9 @@ EnsembleBuilder::buildRandom(const circuit::Circuit &logical,
             i + static_cast<std::size_t>(
                     rng.uniformInt(order.size() - i));
         std::swap(order[i], order[j]);
-        picks.push_back(order[i]);
+        picks.push_back(std::move(rows[order[i]]));
     }
-    return ranking.members(picks);
+    return seed.members(picks);
 }
 
 } // namespace qedm::core

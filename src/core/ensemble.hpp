@@ -4,13 +4,19 @@
  * steps 1-2).
  *
  * Starting from the variation-aware compiler's best executable, the
- * builder streams every embedding of the used region into the device
- * (VF2), scores each from the seed's gate trace, and keeps the best
- * embedding of each distinct qubit set. These per-set rows are ranked
- * by ESP; a selection policy picks its members from the rows, and only
- * the picked rows are materialized: the compiled program transferred
- * onto them via the isomorphism, so all members execute an identical
- * gate sequence.
+ * builder transfers it onto other embeddings of its used region in
+ * the device, scored from the seed's gate trace. Candidates are the
+ * distinct qubit sets, each represented by its best embedding, ranked
+ * by ESP. Only the picked candidates are materialized: the compiled
+ * program transferred onto them via the isomorphism, so all members
+ * execute an identical gate sequence.
+ *
+ * The ranked policies (build, buildAdaptive, buildPredictive) never
+ * enumerate the embeddings: each pick of the overlap-capped greedy is
+ * one set-constrained top-1 branch-and-bound query (DESIGN.md §13),
+ * exact over every embedding. The exhaustive policies (candidates,
+ * buildRandom) need every qubit set by definition; they stream VF2
+ * embeddings up to EnsembleConfig::vf2Limit.
  */
 
 #pragma once
@@ -27,6 +33,10 @@
 #include "transpile/compile_cache.hpp"
 #include "transpile/transpiler.hpp"
 
+namespace qedm::transpile {
+struct PlacementSearchStats;
+}
+
 namespace qedm::core {
 
 /** Configuration for ensemble construction. */
@@ -35,12 +45,14 @@ struct EnsembleConfig
     /** Ensemble size K (paper default: 4). */
     int size = 4;
     /**
-     * Cap on VF2 embedding enumeration. Truncation is in enumeration
-     * order, not ESP order: past the cap the ranking covers only the
-     * embeddings enumerated first and can silently miss better
-     * placements. A test pins which Table-1 seed patterns reach the
-     * default: none on melbourne; on an 8x8 grid the routed bv-6 and
-     * bv-7 patterns do.
+     * Cap on VF2 embedding enumeration for the exhaustive policies,
+     * candidates() and buildRandom(); build(), buildAdaptive() and
+     * buildPredictive() search every embedding and ignore it.
+     * Truncation is in enumeration order, not ESP order: past the cap
+     * the candidate list covers only the embeddings enumerated first
+     * and can silently miss better placements. A test pins which
+     * Table-1 seed patterns reach the default: none on melbourne; on
+     * an 8x8 grid the routed bv-6 and bv-7 patterns do.
      */
     std::size_t vf2Limit = 200000;
     /**
@@ -48,6 +60,7 @@ struct EnsembleConfig
      * this fraction of its qubits with an already-selected member;
      * 1.0 disables the cap (the paper's literal plain top-K). If the
      * cap starves the ensemble below K, it is relaxed progressively.
+     * Must be finite and non-negative.
      *
      * The default 0.5 reproduces the paper's *observed* ensembles
      * (top-8 mappings sharing only 2-3 of ~7 qubits, Section 6): on
@@ -75,7 +88,7 @@ struct EnsembleConfig
     /**
      * Optional scheduler for the seed compile's placement search (not
      * owned; must outlive the builder). Results are bit-identical at
-     * every `--jobs` value; null means serial. Candidate scoring and
+     * every `--jobs` value; null means serial. Candidate search and
      * member materialization always run serially: a build materializes
      * only the members it returns, too few to pay for a fan-out.
      */
@@ -112,7 +125,8 @@ class EnsembleBuilder
 
     /**
      * All candidate programs: isomorphic transfers of the compiled
-     * seed, one per distinct qubit set, sorted by descending ESP. The
+     * seed, one per distinct qubit set among the first
+     * config().vf2Limit embeddings, sorted by descending ESP. The
      * first entry is the compile-time best mapping (the paper's
      * baseline). Materializes every candidate; the build policies
      * materialize only the members they return.
@@ -123,9 +137,14 @@ class EnsembleBuilder
     /**
      * The top-K ensemble (paper policy). Fewer than K members are
      * returned when the device does not admit K distinct placements.
+     *
+     * @param stats optional: the effort counters of the build's
+     *        placement searches are added to it. Deterministic, and
+     *        the same at every scheduler width.
      */
     std::vector<transpile::CompiledProgram>
-    build(const circuit::Circuit &logical) const;
+    build(const circuit::Circuit &logical,
+          transpile::PlacementSearchStats *stats = nullptr) const;
 
     /**
      * Ablation policy: the compile-time best mapping plus K-1

@@ -550,7 +550,8 @@ class Worker
   public:
     Worker(const PlanImpl &plan, const EmbeddingScorer &scorer,
            std::size_t k, std::size_t limit, MonotonicBound &bound,
-           PlacementSearchStats *stats)
+           PlacementSearchStats *stats,
+           const HostSetConstraint *constraint)
         : plan_(plan), scorer_(scorer), limit_(limit), bound_(bound),
           stats_(stats), best_(k),
           map_(static_cast<std::size_t>(plan.numPattern), -1),
@@ -560,6 +561,8 @@ class Worker
           candHost_(static_cast<std::size_t>(plan.numPattern) *
                     static_cast<std::size_t>(plan.numTarget))
     {
+        if (constraint != nullptr && !constraint->avoid.empty())
+            buildAvoidTable(*constraint);
     }
 
     /** Explore the whole branch rooted at hosting order[0] on @p t.
@@ -567,6 +570,8 @@ class Worker
     void
     searchRoot(int t)
     {
+        if (!admitted(t))
+            return;
         completions_ = 0;
         if (stats_ != nullptr)
             ++stats_->nodesVisited;
@@ -583,7 +588,9 @@ class Worker
                                static_cast<std::size_t>(t)];
         map_[vi] = t;
         used_[static_cast<std::size_t>(t)] = 1;
+        share(t, 1);
         recurse(1, delta);
+        share(t, -1);
         map_[vi] = -1;
         used_[static_cast<std::size_t>(t)] = 0;
     }
@@ -591,6 +598,66 @@ class Worker
     std::vector<HeapEntry> take() { return best_.take(); }
 
   private:
+    /** Per-target lists of the avoided sets containing the target
+     *  (CSR), plus one shared-host count per avoided set. */
+    void
+    buildAvoidTable(const HostSetConstraint &constraint)
+    {
+        const auto nt = static_cast<std::size_t>(plan_.numTarget);
+        maxShared_ = constraint.maxShared;
+        shared_.assign(constraint.avoid.size(), 0);
+        avoidOff_.assign(nt + 1, 0);
+        for (const std::vector<int> &set : constraint.avoid) {
+            for (int t : set) {
+                QEDM_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < nt,
+                             "avoided host is not a target qubit");
+                ++avoidOff_[static_cast<std::size_t>(t) + 1];
+            }
+        }
+        for (std::size_t t = 0; t < nt; ++t)
+            avoidOff_[t + 1] += avoidOff_[t];
+        avoidSet_.resize(static_cast<std::size_t>(avoidOff_[nt]));
+        std::vector<int> next(avoidOff_.begin(), avoidOff_.end() - 1);
+        for (std::size_t j = 0; j < constraint.avoid.size(); ++j) {
+            for (int t : constraint.avoid[j])
+                avoidSet_[static_cast<std::size_t>(
+                    next[static_cast<std::size_t>(t)]++)] =
+                    static_cast<int>(j);
+        }
+    }
+
+    /** True when hosting on @p t keeps every shared count within the
+     *  constraint (always, without one). */
+    // qedm:hot
+    bool
+    admitted(int t) const
+    {
+        if (avoidOff_.empty())
+            return true;
+        const auto ti = static_cast<std::size_t>(t);
+        for (int i = avoidOff_[ti]; i < avoidOff_[ti + 1]; ++i) {
+            if (shared_[static_cast<std::size_t>(
+                    avoidSet_[static_cast<std::size_t>(i)])] >=
+                maxShared_)
+                return false;
+        }
+        return true;
+    }
+
+    /** Add @p delta to the shared count of every avoided set that
+     *  contains @p t. */
+    // qedm:hot
+    void
+    share(int t, int delta)
+    {
+        if (avoidOff_.empty())
+            return;
+        const auto ti = static_cast<std::size_t>(t);
+        for (int i = avoidOff_[ti]; i < avoidOff_[ti + 1]; ++i)
+            shared_[static_cast<std::size_t>(
+                avoidSet_[static_cast<std::size_t>(i)])] += delta;
+    }
+
     /** Current prune threshold: the worker's own K-th best and the
      *  shared bound, whichever is tighter. Cheap enough per node — a
      *  relaxed load and a max — that no log() is ever taken here. */
@@ -637,7 +704,9 @@ class Worker
     {
         map_[static_cast<std::size_t>(v)] = t;
         used_[static_cast<std::size_t>(t)] = 1;
+        share(t, 1);
         recurse(depth + 1, next_partial);
+        share(t, -1);
         map_[static_cast<std::size_t>(v)] = -1;
         used_[static_cast<std::size_t>(t)] = 0;
     }
@@ -681,7 +750,8 @@ class Worker
                         (w << 6) + static_cast<std::size_t>(
                                        std::countr_zero(bits)));
                     bits &= bits - 1;
-                    if (used_[static_cast<std::size_t>(t)] != 0)
+                    if (used_[static_cast<std::size_t>(t)] != 0 ||
+                        !admitted(t))
                         continue;
                     insert(t, vlog[static_cast<std::size_t>(t)]);
                 }
@@ -701,6 +771,8 @@ class Worker
                     ++stats_->prunedSignature;
                 continue;
             }
+            if (!admitted(t))
+                continue;
             double delta = vlog[static_cast<std::size_t>(t)];
             int i = plan_.backOff[depth];
             delta += plan_.edgeLogTab[static_cast<std::size_t>(
@@ -799,6 +871,13 @@ class Worker
     /** Depth-sliced candidate scratch (numPattern x numTarget). */
     std::vector<double> candDelta_;
     std::vector<int> candHost_;
+    /** Host-set constraint state; avoidOff_ stays empty without one.
+     *  Target t's avoided sets are avoidSet_[avoidOff_[t] ..
+     *  avoidOff_[t + 1]). */
+    std::vector<int> avoidOff_;
+    std::vector<int> avoidSet_;
+    std::vector<int> shared_;
+    int maxShared_ = 0;
     double localThr_ = kNegInf;
     std::uint64_t completions_ = 0;
 };
@@ -903,10 +982,13 @@ std::vector<ScoredEmbedding>
 topKPlacements(const PlacementSearchPlan &plan,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit, PlacementSearchStats *stats,
-               const runtime::JobScheduler *scheduler)
+               const runtime::JobScheduler *scheduler,
+               const HostSetConstraint *constraint)
 {
     QEDM_REQUIRE(k > 0, "top-K placement search needs k >= 1");
     QEDM_REQUIRE(limit > 0, "enumeration limit must be positive");
+    QEDM_REQUIRE(constraint == nullptr || constraint->maxShared >= 0,
+                 "host-set constraint needs maxShared >= 0");
 
     const PlanImpl &impl = *plan.impl_;
     MonotonicBound bound;
@@ -915,7 +997,7 @@ topKPlacements(const PlacementSearchPlan &plan,
     if (scheduler == nullptr || !scheduler->parallel() || roots <= 1) {
         // Sequential: one worker walks every root branch in order,
         // carrying its best-K list (the classic DFS shape).
-        Worker worker(impl, scorer, k, limit, bound, stats);
+        Worker worker(impl, scorer, k, limit, bound, stats, constraint);
         for (int t : impl.rootCandidates)
             worker.searchRoot(t);
         return toScored(worker.take());
@@ -928,7 +1010,8 @@ topKPlacements(const PlacementSearchPlan &plan,
         stats != nullptr ? roots : 0);
     scheduler->parallelFor(roots, [&](std::size_t i) {
         Worker worker(impl, scorer, k, limit, bound,
-                      stats != nullptr ? &item_stats[i] : nullptr);
+                      stats != nullptr ? &item_stats[i] : nullptr,
+                      constraint);
         worker.searchRoot(impl.rootCandidates[i]);
         slots[i] = worker.take();
     });

@@ -37,6 +37,11 @@
  * canonical total order, so the result is bit-identical at every
  * --jobs value (and to the sequential search).
  *
+ * Set-constrained queries (DESIGN.md §13): a HostSetConstraint keeps
+ * only embeddings whose host set shares at most a given number of
+ * qubits with each of a list of sets. The ensemble builder runs each
+ * of its overlap-capped greedy picks as one such top-1 query.
+ *
  * Determinism contract: results are ordered by descending ESP with
  * exact ties broken lexicographically on the mapping vector and then
  * on the embedding, a strict total order — the top-K set and its
@@ -95,6 +100,21 @@ struct PlacementSearchStats
     std::uint64_t completions = 0;
     std::uint64_t prunedBound = 0;
     std::uint64_t prunedSignature = 0;
+};
+
+/**
+ * Constraint on an embedding's host set: it may share at most
+ * @c maxShared target qubits with each set in @c avoid. The shared
+ * count only grows as hosts are placed, so the search rejects a host
+ * the moment it would push any count past the cap — at the root and
+ * at every child, connected or not. With @c maxShared one below the
+ * pattern size, it excludes exactly the avoided sets themselves.
+ */
+struct HostSetConstraint
+{
+    /** Target-qubit sets to keep away from. */
+    std::vector<std::vector<int>> avoid;
+    int maxShared = 0;
 };
 
 /**
@@ -248,19 +268,25 @@ class PlacementSearchPlan
     topKPlacements(const PlacementSearchPlan &plan,
                    const EmbeddingScorer &scorer, std::size_t k,
                    std::size_t limit, PlacementSearchStats *stats,
-                   const runtime::JobScheduler *scheduler);
+                   const runtime::JobScheduler *scheduler,
+                   const HostSetConstraint *constraint);
 };
 
 /**
  * topKPlacements against a prebuilt plan: identical results to the
  * plan-free overload (same search, same doubles, same order), minus
  * the per-call plan construction.
+ *
+ * @param constraint optional host-set constraint; the result is then
+ *        the K best among the embeddings that satisfy it, under the
+ *        same total order. nullptr searches unconstrained.
  */
 std::vector<ScoredEmbedding>
 topKPlacements(const PlacementSearchPlan &plan,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit = 100000,
                PlacementSearchStats *stats = nullptr,
-               const runtime::JobScheduler *scheduler = nullptr);
+               const runtime::JobScheduler *scheduler = nullptr,
+               const HostSetConstraint *constraint = nullptr);
 
 } // namespace qedm::transpile

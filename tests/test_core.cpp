@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -23,6 +25,7 @@
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/esp_model.hpp"
+#include "transpile/placement_search.hpp"
 #include "transpile/transpiler.hpp"
 #include "transpile/vf2.hpp"
 
@@ -232,6 +235,27 @@ TEST(EnsembleBuilder, RejectsZeroSize)
     config.size = 0;
     const hw::Device device = testDevice();
     EXPECT_THROW(EnsembleBuilder(device, config), UserError);
+}
+
+TEST(EnsembleBuilder, RejectsNonFiniteOrNegativeOverlapCap)
+{
+    // NaN would skip every cap test and, in the relax loop, never
+    // reach the cap-off stage: the constructor must refuse it.
+    const hw::Device device = testDevice();
+    for (double cap : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(), -0.25}) {
+        EnsembleConfig config;
+        config.maxOverlap = cap;
+        EXPECT_THROW(EnsembleBuilder(device, config), UserError)
+            << "maxOverlap=" << cap;
+    }
+    for (double cap : {0.0, 0.5, 1.0, 2.0}) {
+        EnsembleConfig config;
+        config.maxOverlap = cap;
+        EXPECT_NO_THROW(EnsembleBuilder(device, config))
+            << "maxOverlap=" << cap;
+    }
 }
 
 TEST(EdmPipeline, RunProducesNormalizedMerges)
@@ -592,86 +616,130 @@ compileSeed(const EnsembleBuilder &builder, const Circuit &logical)
     return compiler.compile(logical);
 }
 
-/**
- * The builder before candidate streaming, kept as the equivalence
- * reference: score every embedding through its full relabeling, sort
- * all records, keep each qubit set's first, and materialize every
- * survivor.
- */
-Programs
-referenceCandidates(const EnsembleBuilder &builder, const Circuit &logical)
+/** One reference row: a qubit set's best transfer of the seed. */
+struct ReferenceRow
 {
-    struct Record
+    std::vector<int> relabel;
+    std::vector<int> initialMap;
+    std::vector<int> usedSet; ///< sorted, as usedQubits() returns it
+    double esp = 0.0;
+
+    std::vector<int> usedQubits() const { return usedSet; }
+};
+
+/**
+ * A reference candidate list, best first, and the embedding count
+ * behind it. Rows are materialized on demand: an uncapped grid list
+ * holds over 200,000 qubit sets.
+ */
+struct ReferenceCandidates
+{
+    transpile::CompiledProgram seed;
+    std::vector<ReferenceRow> rows;
+    std::size_t embeddings = 0;
+
+    transpile::CompiledProgram
+    member(const ReferenceRow &row) const
     {
-        std::vector<int> relabel;
-        std::vector<int> initialMap;
-        std::vector<int> usedSet;
-        double esp = 0.0;
+        transpile::CompiledProgram out;
+        out.physical = seed.physical.remapQubits(
+            row.relabel, static_cast<int>(row.relabel.size()));
+        out.initialMap = row.initialMap;
+        for (int p : seed.finalMap)
+            out.finalMap.push_back(row.relabel[p]);
+        out.swapCount = seed.swapCount;
+        out.esp = row.esp;
+        return out;
+    }
+
+    Programs
+    members(const std::vector<ReferenceRow> &picked) const
+    {
+        Programs out;
+        for (const ReferenceRow &row : picked)
+            out.push_back(member(row));
+        return out;
+    }
+};
+
+/** No enumeration cap: the reference for the ranked policies. */
+constexpr std::size_t kUncapped = std::numeric_limits<std::size_t>::max();
+
+/**
+ * The materialize-everything builder, kept as the equivalence
+ * reference: score each of the first @p limit embeddings through its
+ * full relabeling and keep each qubit set's best under (esp,
+ * initialMap, relabel) — the row sorting every record and keeping
+ * each set's first would keep. Records stream past, so an uncapped
+ * run (millions of embeddings on the grid) stays small.
+ */
+ReferenceCandidates
+referenceCandidates(const EnsembleBuilder &builder, const Circuit &logical,
+                    std::size_t limit)
+{
+    const auto before = [](const ReferenceRow &a, const ReferenceRow &b) {
+        if (a.esp != b.esp)
+            return a.esp > b.esp;
+        if (a.initialMap != b.initialMap)
+            return a.initialMap < b.initialMap;
+        return a.relabel < b.relabel;
     };
     const hw::DeviceView &view = builder.view();
     const hw::Topology &topo = view.device().topology();
     const int n = topo.numQubits();
-    const transpile::CompiledProgram seed = compileSeed(builder, logical);
+    ReferenceCandidates out;
+    out.seed = compileSeed(builder, logical);
+    const transpile::CompiledProgram &seed = out.seed;
     const std::vector<int> used = seed.usedQubits();
     const auto model = transpile::sharedEspModel(view);
     const transpile::GateTrace trace =
         transpile::EspModel::trace(seed.physical.decomposed());
-    std::vector<Record> records;
-    for (const auto &embedding : transpile::vf2AllEmbeddings(
-             seedPattern(seed, topo), topo, builder.config().vf2Limit,
-             view.maskPtr())) {
-        Record rec;
-        rec.relabel.assign(static_cast<std::size_t>(n), -1);
-        std::vector<bool> taken(static_cast<std::size_t>(n), false);
-        for (std::size_t i = 0; i < used.size(); ++i) {
-            rec.relabel[used[i]] = embedding[i];
-            taken[embedding[i]] = true;
-        }
-        int fill = 0;
-        for (int &target : rec.relabel) {
-            if (target >= 0)
-                continue;
-            while (taken[fill])
-                ++fill;
-            target = fill;
-            taken[fill] = true;
-        }
-        for (int p : seed.initialMap)
-            rec.initialMap.push_back(rec.relabel[p]);
-        rec.usedSet = embedding;
-        std::sort(rec.usedSet.begin(), rec.usedSet.end());
-        rec.esp = model->espOfTrace(trace, rec.relabel);
-        records.push_back(std::move(rec));
-    }
-    std::sort(records.begin(), records.end(),
-              [](const Record &a, const Record &b) {
-                  if (a.esp != b.esp)
-                      return a.esp > b.esp;
-                  if (a.initialMap != b.initialMap)
-                      return a.initialMap < b.initialMap;
-                  return a.relabel < b.relabel;
-              });
-    std::set<std::vector<int>> seen;
-    Programs out;
-    for (const Record &rec : records) {
-        if (!seen.insert(rec.usedSet).second)
-            continue;
-        transpile::CompiledProgram member;
-        member.physical = seed.physical.remapQubits(rec.relabel, n);
-        member.initialMap = rec.initialMap;
-        for (int p : seed.finalMap)
-            member.finalMap.push_back(rec.relabel[p]);
-        member.swapCount = seed.swapCount;
-        member.esp = rec.esp;
-        out.push_back(std::move(member));
-    }
+    std::map<std::uint64_t, ReferenceRow> best; // keyed by qubit set
+    ReferenceRow rec;
+    std::vector<bool> taken;
+    out.embeddings = transpile::vf2ForEachEmbedding(
+        seedPattern(seed, topo), topo, limit, view.maskPtr(),
+        [&](const std::vector<int> &embedding) {
+            rec.relabel.assign(static_cast<std::size_t>(n), -1);
+            taken.assign(static_cast<std::size_t>(n), false);
+            for (std::size_t i = 0; i < used.size(); ++i) {
+                rec.relabel[used[i]] = embedding[i];
+                taken[embedding[i]] = true;
+            }
+            int fill = 0;
+            for (int &target : rec.relabel) {
+                if (target >= 0)
+                    continue;
+                while (taken[fill])
+                    ++fill;
+                target = fill;
+                taken[fill] = true;
+            }
+            rec.initialMap.clear();
+            for (int p : seed.initialMap)
+                rec.initialMap.push_back(rec.relabel[p]);
+            rec.usedSet = embedding;
+            std::sort(rec.usedSet.begin(), rec.usedSet.end());
+            rec.esp = model->espOfTrace(trace, rec.relabel);
+            std::uint64_t key = 0;
+            for (int q : rec.usedSet)
+                key |= std::uint64_t{1} << q;
+            const auto [it, fresh] = best.try_emplace(key, rec);
+            if (!fresh && before(rec, it->second))
+                it->second = rec;
+        });
+    for (auto &entry : best)
+        out.rows.push_back(std::move(entry.second));
+    std::sort(out.rows.begin(), out.rows.end(), before);
     return out;
 }
 
-/** Reference build(): the overlap-capped greedy over the materialized
- *  programs' usedQubits(). */
-Programs
-referenceBuild(const EnsembleConfig &config, const Programs &all)
+/** Reference build(): the overlap-capped greedy over the candidates'
+ *  usedQubits(). */
+template <typename Candidate>
+std::vector<Candidate>
+referenceBuild(const EnsembleConfig &config,
+               const std::vector<Candidate> &all)
 {
     std::size_t want = static_cast<std::size_t>(config.size);
     if (config.expectedDropoutProb > 0.0 || config.plannedDropouts > 0) {
@@ -690,7 +758,7 @@ referenceBuild(const EnsembleConfig &config, const Programs &all)
         return static_cast<double>(shared) /
                static_cast<double>(a.size());
     };
-    Programs out;
+    std::vector<Candidate> out;
     std::vector<std::vector<int>> used_sets;
     std::vector<bool> taken(all.size(), false);
     for (double cap = config.maxOverlap;
@@ -718,14 +786,15 @@ referenceBuild(const EnsembleConfig &config, const Programs &all)
 }
 
 /** Reference buildRandom(): the best candidate, then Fisher-Yates
- *  over the materialized rest. */
-Programs
-referenceRandom(const EnsembleConfig &config, Programs all, Rng &rng)
+ *  over the rest. */
+std::vector<ReferenceRow>
+referenceRandom(const EnsembleConfig &config, std::vector<ReferenceRow> all,
+                Rng &rng)
 {
     const auto size = static_cast<std::size_t>(config.size);
     if (all.size() <= size)
         return all;
-    Programs out{all.front()};
+    std::vector<ReferenceRow> out{all.front()};
     for (std::size_t i = 1; i < all.size() && out.size() < size; ++i) {
         const std::size_t j =
             i + static_cast<std::size_t>(rng.uniformInt(all.size() - i));
@@ -748,13 +817,14 @@ referenceAdaptive(Programs selected, double min_esp_ratio)
 }
 
 /** Reference buildPredictive(): the KL greedy over the first
- *  @p pool_size materialized candidates. */
+ *  @p pool_size candidates, materialized. */
 Programs
 referencePredictive(const hw::Device &device, const EnsembleConfig &config,
-                    Programs pool, std::size_t pool_size)
+                    const ReferenceCandidates &ranked, std::size_t pool_size)
 {
-    if (pool.size() > pool_size)
-        pool.resize(pool_size);
+    Programs pool;
+    for (std::size_t i = 0; i < ranked.rows.size() && i < pool_size; ++i)
+        pool.push_back(ranked.member(ranked.rows[i]));
     const std::size_t want = std::min<std::size_t>(
         static_cast<std::size_t>(config.size), pool.size());
     const sim::Executor exec(device);
@@ -786,35 +856,56 @@ referencePredictive(const hw::Device &device, const EnsembleConfig &config,
 }
 
 void
+expectSameProgram(const transpile::CompiledProgram &got,
+                  const transpile::CompiledProgram &want,
+                  const std::string &at)
+{
+    EXPECT_EQ(got.esp, want.esp) << at;
+    EXPECT_EQ(got.initialMap, want.initialMap) << at;
+    EXPECT_EQ(got.finalMap, want.finalMap) << at;
+    EXPECT_EQ(got.swapCount, want.swapCount) << at;
+    const auto &a = got.physical.gates();
+    const auto &b = want.physical.gates();
+    bool same = got.physical.numQubits() == want.physical.numQubits() &&
+                a.size() == b.size();
+    for (std::size_t g = 0; same && g < a.size(); ++g) {
+        same = a[g].kind == b[g].kind && a[g].qubits == b[g].qubits &&
+               a[g].params == b[g].params && a[g].clbit == b[g].clbit;
+    }
+    EXPECT_TRUE(same) << at << ": physical circuits differ";
+}
+
+void
 expectSamePrograms(const Programs &got, const Programs &want,
                    const std::string &what)
 {
     ASSERT_EQ(got.size(), want.size()) << what;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        const std::string at = what + " #" + std::to_string(i);
-        EXPECT_EQ(got[i].esp, want[i].esp) << at;
-        EXPECT_EQ(got[i].initialMap, want[i].initialMap) << at;
-        EXPECT_EQ(got[i].finalMap, want[i].finalMap) << at;
-        EXPECT_EQ(got[i].swapCount, want[i].swapCount) << at;
-        const auto &a = got[i].physical.gates();
-        const auto &b = want[i].physical.gates();
-        bool same = got[i].physical.numQubits() ==
-                        want[i].physical.numQubits() &&
-                    a.size() == b.size();
-        for (std::size_t g = 0; same && g < a.size(); ++g) {
-            same = a[g].kind == b[g].kind && a[g].qubits == b[g].qubits &&
-                   a[g].params == b[g].params && a[g].clbit == b[g].clbit;
-        }
-        EXPECT_TRUE(same) << at << ": physical circuits differ";
-    }
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameProgram(got[i], want[i], what + " #" + std::to_string(i));
+}
+
+/** @p got against every row of @p ref, materialized one at a time. */
+void
+expectSameCandidates(const Programs &got, const ReferenceCandidates &ref,
+                     const std::string &what)
+{
+    ASSERT_EQ(got.size(), ref.rows.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameProgram(got[i], ref.member(ref.rows[i]),
+                          what + " #" + std::to_string(i));
 }
 
 /** Predictive pool: the KL greedy orders members 1 and 2, and three
  *  exact simulations per side keep the cases fast. */
 constexpr std::size_t kPredictivePool = 3;
 
-/** Every selection policy of a builder on @p device matches the
- *  reference, field for field. */
+/**
+ * Every selection policy of a builder on @p device matches the
+ * reference, field for field. The ranked policies (build,
+ * buildAdaptive, buildPredictive) search every embedding, so their
+ * reference is uncapped; the exhaustive ones (candidates,
+ * buildRandom) keep the vf2Limit cap as their contract.
+ */
 void
 expectPoliciesMatchReference(const hw::Device &device,
                              const EnsembleConfig &config,
@@ -822,22 +913,29 @@ expectPoliciesMatchReference(const hw::Device &device,
                              const std::string &what)
 {
     const EnsembleBuilder builder(device, config);
-    const Programs all = referenceCandidates(builder, logical);
-    expectSamePrograms(builder.candidates(logical), all,
-                       what + " candidates");
-    const Programs built = referenceBuild(config, all);
+    const ReferenceCandidates exact =
+        referenceCandidates(builder, logical, kUncapped);
+    const ReferenceCandidates capped =
+        exact.embeddings <= config.vf2Limit
+            ? exact
+            : referenceCandidates(builder, logical, config.vf2Limit);
+    expectSameCandidates(builder.candidates(logical), capped,
+                         what + " candidates");
+    const Programs built =
+        exact.members(referenceBuild(config, exact.rows));
     expectSamePrograms(builder.build(logical), built, what + " build");
     expectSamePrograms(builder.buildAdaptive(logical, 0.9),
                        referenceAdaptive(built, 0.9),
                        what + " buildAdaptive");
     Rng rng(31);
     Rng reference_rng(31);
-    expectSamePrograms(builder.buildRandom(logical, rng),
-                       referenceRandom(config, all, reference_rng),
-                       what + " buildRandom");
+    expectSamePrograms(
+        builder.buildRandom(logical, rng),
+        capped.members(referenceRandom(config, capped.rows, reference_rng)),
+        what + " buildRandom");
     expectSamePrograms(
         builder.buildPredictive(logical, kPredictivePool),
-        referencePredictive(device, config, all, kPredictivePool),
+        referencePredictive(device, config, exact, kPredictivePool),
         what + " buildPredictive");
 }
 
@@ -884,14 +982,75 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/** The grid patterns: the routed BV ones pass vf2Limit (see
+ *  Vf2LimitReachedOnlyByKnownPatterns), the other two do not. */
+std::vector<benchmarks::Benchmark>
+gridBenchmarks()
+{
+    return {benchmarks::bv6(), benchmarks::bv7(), benchmarks::qaoa7(),
+            benchmarks::greycode()};
+}
+
 TEST(EnsembleEquivalence, Grid8x8)
 {
     const hw::Device device = gridDevice();
-    for (const auto &bench : {benchmarks::bv6(), benchmarks::qaoa7(),
-                              benchmarks::greycode()}) {
+    for (const auto &bench : gridBenchmarks()) {
         expectPoliciesMatchReference(device, EnsembleConfig{},
                                      bench.circuit,
                                      "grid-8x8/" + bench.name);
+    }
+}
+
+TEST(EnsembleEquivalence, Grid8x8Drifted)
+{
+    Rng drift(5);
+    const hw::Device device = gridDevice().driftedRound(drift);
+    for (const auto &bench : gridBenchmarks()) {
+        expectPoliciesMatchReference(device, EnsembleConfig{},
+                                     bench.circuit,
+                                     "grid-8x8-drifted/" + bench.name);
+    }
+}
+
+TEST(EnsembleBuilder, BuildSearchEffortIsSmallAndReproducible)
+{
+    // The grid bv-6 seed pattern has 2,956,608 embeddings (see
+    // Vf2LimitReachedOnlyByKnownPatterns for why that matters). build()
+    // answers with one bounded search per pick, so it must complete
+    // far fewer, and its serial searches count the same every run and
+    // at every scheduler width (the scheduler only drives the seed
+    // compile).
+    constexpr std::uint64_t kEmbeddings = 2956608;
+    const hw::Device device = gridDevice();
+    const Circuit logical = benchmarks::bv6().circuit;
+    const EnsembleBuilder serial(device);
+    const hw::Topology &topo = device.topology();
+    ASSERT_EQ(transpile::vf2ForEachEmbedding(
+                  seedPattern(compileSeed(serial, logical), topo), topo,
+                  kUncapped, nullptr, [](const std::vector<int> &) {}),
+              kEmbeddings);
+    transpile::PlacementSearchStats first;
+    transpile::PlacementSearchStats second;
+    const Programs members = serial.build(logical, &first);
+    expectSamePrograms(serial.build(logical, &second), members,
+                       "second run");
+    expectSamePrograms(serial.build(logical), members, "without stats");
+
+    const runtime::JobScheduler pool(4);
+    EnsembleConfig config;
+    config.scheduler = &pool;
+    transpile::PlacementSearchStats parallel;
+    expectSamePrograms(
+        EnsembleBuilder(device, config).build(logical, &parallel), members,
+        "jobs 4");
+
+    EXPECT_GT(first.completions, 0u);
+    EXPECT_LT(first.completions, kEmbeddings / 10);
+    for (const auto *other : {&second, &parallel}) {
+        EXPECT_EQ(other->nodesVisited, first.nodesVisited);
+        EXPECT_EQ(other->completions, first.completions);
+        EXPECT_EQ(other->prunedBound, first.prunedBound);
+        EXPECT_EQ(other->prunedSignature, first.prunedSignature);
     }
 }
 
@@ -946,12 +1105,14 @@ TEST(EnsembleEquivalence, AutomorphicTiesKeepSmallestRepresentative)
 
 TEST(EnsembleEquivalence, Vf2LimitReachedOnlyByKnownPatterns)
 {
-    // vf2Limit truncates in enumeration order, not ESP order, so the
-    // exact ESP ranking holds only while enumeration runs to the end.
-    // Every Table-1 seed pattern does on melbourne. On the 8x8 grid the
-    // routed BV patterns do not: their rankings there cover only the
-    // first vf2Limit embeddings. Both sides are pinned, so a change in
-    // either direction shows up here.
+    // vf2Limit caps only the exhaustive policies (candidates,
+    // buildRandom); the ranked ones search every embedding. The cap
+    // truncates in enumeration order, not ESP order, so an exhaustive
+    // list is the exact ranking only while enumeration runs to the
+    // end. Every Table-1 seed pattern does on melbourne. On the 8x8
+    // grid the routed BV patterns do not: their candidate lists there
+    // cover only the first vf2Limit embeddings. Both sides are pinned,
+    // so a change in either direction shows up here.
     const std::set<std::string> truncated = {
         "grid/bv-6", "grid/bv-7", "grid-drifted/bv-7"};
     const std::size_t limit = EnsembleConfig{}.vf2Limit;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -18,6 +19,7 @@
 #include "common/error.hpp"
 #include "hw/device.hpp"
 #include "hw/device_view.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/distances.hpp"
@@ -605,6 +607,96 @@ TEST(TopPlacements, BoundPruningActuallyFires)
     // 304 embeddings exist (pre-rewrite count); the bound must cut
     // well below full materialization.
     EXPECT_LT(stats.completions, 304u);
+}
+
+TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
+{
+    // A constrained query returns the head of the exhaustive ranking
+    // filtered to embeddings sharing at most maxShared hosts with each
+    // avoided set: at every cap, serially and fanned out, for a
+    // connected pattern and for one whose second component starts
+    // unanchored.
+    const hw::Device device = hw::Device::melbourne(2);
+    const auto model = sharedEspModel(device);
+    const hw::Topology &topo = device.topology();
+    const std::vector<hw::Topology> patterns = {
+        hw::Topology(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+        hw::Topology(5, {{0, 1}, {1, 2}, {3, 4}}),
+    };
+    const runtime::JobScheduler pool(4);
+    constexpr std::size_t k = 4;
+    for (std::size_t c = 0; c < patterns.size(); ++c) {
+        const hw::Topology &pattern = patterns[c];
+        const int n = pattern.numQubits();
+        GateTrace trace;
+        for (int v = 0; v < n; ++v) {
+            trace.push_back({GateTerm::Kind::OneQubit, v, 0});
+            trace.push_back({GateTerm::Kind::Measure, v, 0});
+        }
+        for (const auto &edge : pattern.edges())
+            trace.push_back({GateTerm::Kind::TwoQubit, edge.a, edge.b});
+        std::vector<int> identity(static_cast<std::size_t>(n));
+        std::iota(identity.begin(), identity.end(), 0);
+        const PlacementCostModel cost(model, pattern, identity, trace);
+        const PlacementSearchPlan plan(pattern, cost);
+        const EmbeddingScorer scorer = [&](const std::vector<int> &emb,
+                                           std::vector<int> &map_out,
+                                           double &esp_out) {
+            map_out = emb;
+            esp_out = model->espOfTrace(trace, emb);
+        };
+
+        std::vector<ScoredEmbedding> ranked;
+        for (const auto &emb : vf2AllEmbeddings(pattern, topo))
+            ranked.push_back({emb, emb, model->espOfTrace(trace, emb)});
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const ScoredEmbedding &a, const ScoredEmbedding &b) {
+                      return placementBefore(a.esp, a.map, b.esp, b.map);
+                  });
+        ASSERT_GT(ranked.size(), 2 * k) << "pattern " << c;
+        HostSetConstraint constraint;
+        constraint.avoid = {ranked.front().embedding,
+                            ranked[ranked.size() / 2].embedding};
+        const auto shared = [](const std::vector<int> &a,
+                               const std::vector<int> &b) {
+            int count = 0;
+            for (int q : a)
+                count += static_cast<int>(std::count(b.begin(), b.end(), q));
+            return count;
+        };
+        for (int max_shared = 0; max_shared < n; ++max_shared) {
+            constraint.maxShared = max_shared;
+            std::vector<ScoredEmbedding> expected;
+            for (const ScoredEmbedding &s : ranked) {
+                bool ok = expected.size() < k;
+                for (const auto &set : constraint.avoid)
+                    ok = ok && shared(s.embedding, set) <= max_shared;
+                if (ok)
+                    expected.push_back(s);
+            }
+            if (max_shared == n - 1) {
+                EXPECT_EQ(expected.size(), k) << "pattern " << c;
+            }
+            for (const runtime::JobScheduler *sched :
+                 {static_cast<const runtime::JobScheduler *>(nullptr),
+                  &pool}) {
+                const auto got = topKPlacements(plan, scorer, k, 100000,
+                                                nullptr, sched,
+                                                &constraint);
+                const std::string at =
+                    "pattern " + std::to_string(c) + " maxShared " +
+                    std::to_string(max_shared) +
+                    (sched != nullptr ? " parallel" : " serial");
+                ASSERT_EQ(got.size(), expected.size()) << at;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].embedding, expected[i].embedding)
+                        << at << " i=" << i;
+                    EXPECT_EQ(got[i].esp, expected[i].esp)
+                        << at << " i=" << i;
+                }
+            }
+        }
+    }
 }
 
 // Brute-force optimality check: for a tiny 2-qubit program the
