@@ -9,6 +9,7 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "analysis/report.hpp"
 #include "bench_util.hpp"
@@ -55,12 +56,15 @@ main()
             const auto ci = stats::istConfidenceInterval(
                 counts, bv6.expected, boot_rng, 300, 0.95);
             const bool resolved = ci.lower > 1.0 || ci.upper < 1.0;
+            std::string interval = "[";
+            interval += analysis::fmt(ci.lower, 2);
+            interval += ", ";
+            interval += analysis::fmt(ci.upper, 2);
+            interval += "]";
             table.addRow(
                 {std::to_string(shots),
                  which == 0 ? "single best" : "EDM (pooled members)",
-                 analysis::fmt(ci.pointEstimate, 2),
-                 "[" + analysis::fmt(ci.lower, 2) + ", " +
-                     analysis::fmt(ci.upper, 2) + "]",
+                 analysis::fmt(ci.pointEstimate, 2), interval,
                  resolved ? "yes" : "no"});
         }
         std::cout << "." << std::flush;

@@ -549,13 +549,7 @@ runCompileSweep()
                  10, 2));
     }
     {
-        // 127-qubit heavy-hex placement: the large-topology guard,
-        // then the same search fanned out over 4 and 8 workers. On a
-        // many-core host the parallel entries track scaling; on a
-        // single-core runner they bound the fan-out overhead (which
-        // must stay a small constant factor, never a blowup). Either
-        // way they double as a determinism smoke check: every jobs
-        // value must return byte-identical placements.
+        // 127-qubit heavy-hex placement: the large-topology guard.
         const hw::Device hex = heavyHex127Device();
         const transpile::Placer placer(hex);
         const auto logical = benchmarks::qaoaMaxcutPath(7).circuit;
@@ -566,36 +560,6 @@ runCompileSweep()
                          placer.topPlacements(logical, 4));
                  },
                  5, 1));
-        const auto serial_top = placer.topPlacements(logical, 4);
-        const auto same = [](const auto &a, const auto &b) {
-            if (a.size() != b.size())
-                return false;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                if (a[i].map != b[i].map || a[i].esp != b[i].esp)
-                    return false;
-            }
-            return true;
-        };
-        for (const int jobs : {4, 8}) {
-            const runtime::JobScheduler sched(jobs);
-            transpile::Placer parallel_placer(hex);
-            parallel_placer.setScheduler(&sched);
-            emit("topk_heavyhex127_k4_j" + std::to_string(jobs),
-                 timeBestNs(
-                     [&] {
-                         benchmark::DoNotOptimize(
-                             parallel_placer.topPlacements(logical,
-                                                           4));
-                     },
-                     5, 1));
-            if (!same(parallel_placer.topPlacements(logical, 4),
-                      serial_top)) {
-                std::cerr << "FATAL: parallel placement diverged at "
-                             "jobs="
-                          << jobs << "\n";
-                std::exit(1);
-            }
-        }
     }
     {
         // 433-qubit heavy-hex placement: the Osprey-class scale

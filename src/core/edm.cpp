@@ -513,11 +513,6 @@ EdmPipeline::run(const circuit::Circuit &logical,
     EnsembleConfig ensemble_config = config_.ensemble;
     ensemble_config.verifyPasses =
         ensemble_config.verifyPasses || config_.verifyPasses;
-    // Compilation shares the execution scheduler: the seed compile's
-    // placement search fans out over the same pool the shot batches
-    // use, bit-identical at any --jobs value.
-    if (ensemble_config.scheduler == nullptr)
-        ensemble_config.scheduler = scheduler;
     // Fault-aware sizing: when the fault plan predicts probabilistic
     // dropout, tell the builder so it over-provisions K and the
     // ensemble *expected to survive* still has the configured size.

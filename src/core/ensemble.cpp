@@ -181,7 +181,6 @@ compileSeed(const hw::DeviceView &view, const EnsembleConfig &config,
 {
     transpile::Transpiler compiler(view, config.routeCost,
                                    config.verifyPasses);
-    compiler.setScheduler(config.scheduler);
     std::shared_ptr<const CompiledProgram> cached;
     if (config.compileCache != nullptr)
         cached = config.compileCache->getOrCompile(compiler, logical);
@@ -313,7 +312,7 @@ selectGreedy(const Seed &seed, std::size_t want, double max_overlap,
         constraint.maxShared = maxSharedUnder(cap, set_size);
         const auto best = transpile::topKPlacements(
             plan, scorer, 1, std::numeric_limits<std::size_t>::max(),
-            stats, nullptr, &constraint);
+            stats, &constraint);
         if (best.empty()) {
             if (cap >= 1.0)
                 break;

@@ -86,11 +86,9 @@ struct EnsembleConfig
      */
     transpile::CompileCache *compileCache = nullptr;
     /**
-     * Optional scheduler for the seed compile's placement search (not
-     * owned; must outlive the builder). Results are bit-identical at
-     * every `--jobs` value; null means serial. Candidate search and
-     * member materialization always run serially: a build materializes
-     * only the members it returns, too few to pay for a fan-out.
+     * No effect: every search and materialization the builder runs is
+     * serial. Kept only because the perfbench replay still sets it;
+     * remove with vf2Limit in the next benchmark change.
      */
     const runtime::JobScheduler *scheduler = nullptr;
     /**

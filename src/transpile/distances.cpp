@@ -111,13 +111,14 @@ struct OnDemandDistanceProvider::Impl
 {
     /**
      * Row fills are guarded by source-sharded locks (src mod
-     * kLockShards), not one global mutex: concurrent workers filling
-     * different rows — the common shape once placement search fans
-     * out over the scheduler — only
-     * contend when they hash to the same shard, and a worker holding
-     * one shard never blocks Dijkstra work under another. Each row is
-     * computed exactly once (the shard lock covers its slot's
-     * check-and-fill), so results are independent of fill order.
+     * kLockShards), not one global mutex. The provider is shared
+     * process-wide per view, and an experiment compiles its rounds
+     * concurrently, so several threads can fill rows of one provider
+     * at once; they only contend when they hash to the same shard,
+     * and a thread holding one shard never blocks Dijkstra work under
+     * another. Each row is computed exactly once (the shard lock
+     * covers its slot's check-and-fill), so results are independent
+     * of fill order.
      */
     static constexpr std::size_t kLockShards = 16;
 

@@ -1,14 +1,12 @@
 #include "transpile/placement_search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "common/error.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace qedm::transpile {
 namespace {
@@ -86,16 +84,9 @@ signatureDominates(const int *target_sig, int target_n,
     return true;
 }
 
-/** A completed, exactly-scored placement kept by a worker heap. */
-struct HeapEntry
-{
-    double esp;
-    std::vector<int> map;
-    std::vector<int> embedding;
-};
-
 /** The canonical strict total order: placementBefore extended with an
- *  embedding tie-break, so merges never depend on insertion order. */
+ *  embedding tie-break, so the kept list never depends on insertion
+ *  order. */
 bool
 entryBefore(double esp_a, const std::vector<int> &map_a,
             const std::vector<int> &emb_a, double esp_b,
@@ -112,10 +103,10 @@ entryBefore(double esp_a, const std::vector<int> &map_a,
 } // namespace
 
 /**
- * Everything shared and immutable across workers of one search:
- * feasibility bitsets, the matching order with its flattened back
- * edges, suffix bounds, and dense log-score lookup tables. Built once
- * per plan (typically once per circuit) and only read afterwards.
+ * Everything immutable across searches of one plan: feasibility
+ * bitsets, the matching order with its flattened back edges, suffix
+ * bounds, and dense log-score lookup tables. Built once per plan
+ * (typically once per circuit) and only read afterwards.
  */
 struct PlacementSearchPlan::Impl
 {
@@ -159,7 +150,7 @@ struct PlacementSearchPlan::Impl
     /** edgeLogTab[e * numEdges(target) + de] = cost.edgeLog(e, de). */
     std::vector<double> edgeLogTab;
 
-    /** Root work items: feasible hosts of order[0], best optimistic
+    /** Root frontier: feasible hosts of order[0], best optimistic
      *  vertex score first (warms the bound early), ties ascending. */
     std::vector<int> rootCandidates;
 
@@ -462,32 +453,6 @@ namespace {
 
 using PlanImpl = PlacementSearchPlan::Impl;
 
-/**
- * The bound every worker prunes against: an atomic-max over the log of
- * each worker's local K-th best score. Any worker's local K-th best is
- * a lower bound on the global K-th best (the union holds at least K
- * placements at least that good), so pruning against a published value
- * — however stale — never drops a true top-K member. Only ever rises.
- */
-class MonotonicBound
-{
-  public:
-    double get() const { return log_.load(std::memory_order_relaxed); }
-
-    void
-    raise(double value)
-    {
-        double cur = log_.load(std::memory_order_relaxed);
-        while (cur < value &&
-               !log_.compare_exchange_weak(cur, value,
-                                           std::memory_order_relaxed))
-            ;
-    }
-
-  private:
-    std::atomic<double> log_{kNegInf};
-};
-
 /** Bounded best-K list kept sorted under the canonical total order;
  *  the worst kept entry is back(). */
 class BoundedBest
@@ -509,7 +474,7 @@ class BoundedBest
     {
         if (!full())
             return true;
-        const HeapEntry &w = entries_.back();
+        const ScoredEmbedding &w = entries_.back();
         return entryBefore(esp, map, embedding, w.esp, w.map,
                            w.embedding);
     }
@@ -526,34 +491,33 @@ class BoundedBest
             --pos;
         entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(
                                                pos),
-                        HeapEntry{esp, std::move(map),
-                                  std::move(embedding)});
+                        ScoredEmbedding{std::move(embedding),
+                                        std::move(map), esp});
         if (entries_.size() > k_)
             entries_.pop_back();
     }
 
-    std::vector<HeapEntry> take() { return std::move(entries_); }
+    std::vector<ScoredEmbedding> take() { return std::move(entries_); }
 
   private:
     std::size_t k_;
-    std::vector<HeapEntry> entries_; ///< sorted best-first
+    std::vector<ScoredEmbedding> entries_; ///< sorted best-first
 };
 
 /**
- * One search worker: private partial map, private best-K list, and a
- * cached prune threshold refreshed from the shared bound. The serial
- * driver runs every root through one worker (the classic DFS); the
- * parallel driver gives each root work item a fresh worker and merges.
+ * The search state: partial map, best-K list, and the prune threshold
+ * cached from the list's K-th best. One worker walks every root
+ * branch in order (the classic DFS).
  */
 class Worker
 {
   public:
     Worker(const PlanImpl &plan, const EmbeddingScorer &scorer,
-           std::size_t k, std::size_t limit, MonotonicBound &bound,
+           std::size_t k, std::size_t limit,
            PlacementSearchStats *stats,
            const HostSetConstraint *constraint)
-        : plan_(plan), scorer_(scorer), limit_(limit), bound_(bound),
-          stats_(stats), best_(k),
+        : plan_(plan), scorer_(scorer), limit_(limit), stats_(stats),
+          best_(k),
           map_(static_cast<std::size_t>(plan.numPattern), -1),
           used_(static_cast<std::size_t>(plan.numTarget), 0),
           candDelta_(static_cast<std::size_t>(plan.numPattern) *
@@ -595,7 +559,7 @@ class Worker
         used_[static_cast<std::size_t>(t)] = 0;
     }
 
-    std::vector<HeapEntry> take() { return best_.take(); }
+    std::vector<ScoredEmbedding> take() { return best_.take(); }
 
   private:
     /** Per-target lists of the avoided sets containing the target
@@ -658,23 +622,18 @@ class Worker
                 avoidSet_[static_cast<std::size_t>(i)])] += delta;
     }
 
-    /** Current prune threshold: the worker's own K-th best and the
-     *  shared bound, whichever is tighter. Cheap enough per node — a
-     *  relaxed load and a max — that no log() is ever taken here. */
-    double
-    threshold() const
-    {
-        return std::max(localThr_, bound_.get());
-    }
+    /** Current prune threshold: the log of the K-th best score so
+     *  far (-inf until K are kept), cached so no log() is taken per
+     *  node. */
+    double threshold() const { return threshold_; }
 
     void
     refreshThreshold()
     {
         if (!best_.full())
             return;
-        localThr_ =
+        threshold_ =
             std::log(std::max(best_.worstEsp(), kEspLogFloor));
-        bound_.raise(localThr_);
     }
 
     void
@@ -863,7 +822,6 @@ class Worker
     const PlanImpl &plan_;
     const EmbeddingScorer &scorer_;
     std::size_t limit_;
-    MonotonicBound &bound_;
     PlacementSearchStats *stats_;
     BoundedBest best_;
     std::vector<int> map_;
@@ -878,21 +836,9 @@ class Worker
     std::vector<int> avoidSet_;
     std::vector<int> shared_;
     int maxShared_ = 0;
-    double localThr_ = kNegInf;
+    double threshold_ = kNegInf;
     std::uint64_t completions_ = 0;
 };
-
-std::vector<ScoredEmbedding>
-toScored(std::vector<HeapEntry> entries)
-{
-    std::vector<ScoredEmbedding> out;
-    out.reserve(entries.size());
-    for (HeapEntry &entry : entries)
-        out.push_back(ScoredEmbedding{std::move(entry.embedding),
-                                      std::move(entry.map),
-                                      entry.esp});
-    return out;
-}
 
 } // namespace
 
@@ -982,7 +928,6 @@ std::vector<ScoredEmbedding>
 topKPlacements(const PlacementSearchPlan &plan,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit, PlacementSearchStats *stats,
-               const runtime::JobScheduler *scheduler,
                const HostSetConstraint *constraint)
 {
     QEDM_REQUIRE(k > 0, "top-K placement search needs k >= 1");
@@ -990,68 +935,14 @@ topKPlacements(const PlacementSearchPlan &plan,
     QEDM_REQUIRE(constraint == nullptr || constraint->maxShared >= 0,
                  "host-set constraint needs maxShared >= 0");
 
+    // The completion budget resets per root branch, so a binding
+    // limit caps every branch alike instead of letting the first
+    // roots spend it all (DESIGN.md §18).
     const PlanImpl &impl = *plan.impl_;
-    MonotonicBound bound;
-    const std::size_t roots = impl.rootCandidates.size();
-
-    if (scheduler == nullptr || !scheduler->parallel() || roots <= 1) {
-        // Sequential: one worker walks every root branch in order,
-        // carrying its best-K list (the classic DFS shape).
-        Worker worker(impl, scorer, k, limit, bound, stats, constraint);
-        for (int t : impl.rootCandidates)
-            worker.searchRoot(t);
-        return toScored(worker.take());
-    }
-
-    // Parallel: one work item per root-frontier host. Workers write
-    // pre-assigned slots; stats sum in item order after the fan-out.
-    std::vector<std::vector<HeapEntry>> slots(roots);
-    std::vector<PlacementSearchStats> item_stats(
-        stats != nullptr ? roots : 0);
-    scheduler->parallelFor(roots, [&](std::size_t i) {
-        Worker worker(impl, scorer, k, limit, bound,
-                      stats != nullptr ? &item_stats[i] : nullptr,
-                      constraint);
-        worker.searchRoot(impl.rootCandidates[i]);
-        slots[i] = worker.take();
-    });
-    if (stats != nullptr) {
-        for (const PlacementSearchStats &s : item_stats) {
-            stats->nodesVisited += s.nodesVisited;
-            stats->completions += s.completions;
-            stats->prunedBound += s.prunedBound;
-            stats->prunedSignature += s.prunedSignature;
-        }
-    }
-
-    // Deterministic merge: every surviving entry sorted under the
-    // canonical total order, truncated to K — bit-identical to the
-    // sequential worker's list regardless of bound-publication timing.
-    std::vector<HeapEntry> merged;
-    for (auto &slot : slots) {
-        for (HeapEntry &entry : slot)
-            merged.push_back(std::move(entry));
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const HeapEntry &a, const HeapEntry &b) {
-                  return entryBefore(a.esp, a.map, a.embedding, b.esp,
-                                     b.map, b.embedding);
-              });
-    if (merged.size() > k)
-        merged.resize(k);
-    return toScored(std::move(merged));
-}
-
-std::vector<ScoredEmbedding>
-topKPlacements(const hw::Topology &pattern,
-               const PlacementCostModel &cost_model,
-               const EmbeddingScorer &scorer, std::size_t k,
-               std::size_t limit, PlacementSearchStats *stats,
-               const std::vector<bool> *allowed,
-               const runtime::JobScheduler *scheduler)
-{
-    const PlacementSearchPlan plan(pattern, cost_model, allowed);
-    return topKPlacements(plan, scorer, k, limit, stats, scheduler);
+    Worker worker(impl, scorer, k, limit, stats, constraint);
+    for (int t : impl.rootCandidates)
+        worker.searchRoot(t);
+    return worker.take();
 }
 
 } // namespace qedm::transpile

@@ -26,16 +26,12 @@
  * float drift between the additive bound and the exact product can
  * never prune a placement the exact ordering would keep.
  *
- * Parallel search (DESIGN.md §18): the root frontier — the feasible
- * hosts of the first pattern vertex in the matching order — is
- * partitioned into one work item per root host and fanned out over a
- * runtime::JobScheduler. Workers keep private top-K heaps and share
- * the pruning bound through a monotonic atomic: each worker publishes
- * the log of its own K-th best score, which is a lower bound on the
- * global K-th best, so a stale read only prunes less and admissibility
- * is schedule-independent. The per-worker heaps are merged under the
- * canonical total order, so the result is bit-identical at every
- * --jobs value (and to the sequential search).
+ * Serial search (DESIGN.md §18): one worker walks the root frontier
+ * — the feasible hosts of the first pattern vertex in the matching
+ * order, best optimistic score first — carrying one best-K list and
+ * pruning against its own K-th best. Measured on 4 cores, fanning the
+ * root branches out over threads was slower than this at every
+ * pattern size tried, so the search has no parallel driver.
  *
  * Set-constrained queries (DESIGN.md §13): a HostSetConstraint keeps
  * only embeddings whose host set shares at most a given number of
@@ -45,8 +41,7 @@
  * Determinism contract: results are ordered by descending ESP with
  * exact ties broken lexicographically on the mapping vector and then
  * on the embedding, a strict total order — the top-K set and its
- * order are independent of enumeration order, thread count, and
- * pruning strength.
+ * order are independent of enumeration order and pruning strength.
  */
 
 #pragma once
@@ -59,10 +54,6 @@
 
 #include "hw/topology.hpp"
 #include "transpile/esp_model.hpp"
-
-namespace qedm::runtime {
-class JobScheduler;
-}
 
 namespace qedm::transpile {
 
@@ -86,13 +77,9 @@ struct ScoredEmbedding
 };
 
 /**
- * Search effort counters (observability for benches and tests).
- *
- * Sequential searches count exactly and reproducibly. Parallel
- * searches sum per-worker counters in work-item order, so the totals
- * are well-defined but depend on bound-publication timing between
- * workers — effort counters may differ run to run at jobs > 1 even
- * though the returned placements never do.
+ * Search effort counters (observability for benches and tests). The
+ * search is serial, so the counts are exact and reproducible at every
+ * --jobs value.
  */
 struct PlacementSearchStats
 {
@@ -190,44 +177,11 @@ class PlacementCostModel
  * Exact scorer for one completed embedding: returns the canonical
  * mapping vector and the exact (product-form) ESP. Callers close over
  * whatever completion logic they need (isolated-qubit placement, full
- * physical relabeling, ...). Must be safe to call concurrently when a
- * parallel scheduler is passed to topKPlacements — pure functions of
- * the embedding and immutable captured state qualify.
+ * physical relabeling, ...).
  */
 using EmbeddingScorer =
     std::function<void(const std::vector<int> &embedding,
                        std::vector<int> &map_out, double &esp_out)>;
-
-class PlacementSearchPlan;
-
-/**
- * The K best embeddings of @p pattern into the device graph of the
- * cost model, best first under placementBefore (ties beyond the map
- * broken on the embedding — a strict total order). Pruning never
- * drops a placement that belongs in the top K.
- *
- * @param limit blowup guard: at most @p limit completed embeddings
- *        are explored *per root branch* (per root-frontier host of
- *        the first pattern vertex). The per-branch scope makes the
- *        cap schedule-independent, so a binding limit prunes the same
- *        subtrees at every --jobs value.
- * @param stats optional search-effort counters (see
- *        PlacementSearchStats for parallel-run semantics)
- * @param allowed optional target-qubit mask; the search only maps
- *        pattern vertices onto allowed targets. nullptr (default)
- *        follows the exact unmasked enumeration and pruning order.
- * @param scheduler optional parallel fan-out; nullptr or jobs == 1
- *        searches sequentially. The returned placements are
- *        bit-identical either way.
- */
-std::vector<ScoredEmbedding>
-topKPlacements(const hw::Topology &pattern,
-               const PlacementCostModel &cost_model,
-               const EmbeddingScorer &scorer, std::size_t k,
-               std::size_t limit = 100000,
-               PlacementSearchStats *stats = nullptr,
-               const std::vector<bool> *allowed = nullptr,
-               const runtime::JobScheduler *scheduler = nullptr);
 
 /**
  * Precompiled search state for one (pattern, cost model, mask)
@@ -237,7 +191,7 @@ topKPlacements(const hw::Topology &pattern,
  * a 127-qubit device — noticeable when the same circuit is re-placed
  * every calibration cycle — so callers that search repeatedly (the
  * Placer's per-circuit memo, benches) build the plan once and pass it
- * to the plan-taking topKPlacements overload below.
+ * to every topKPlacements call.
  *
  * The plan holds references into @p pattern and @p cost_model (and
  * the cost model's EspModel); both must outlive it. It is immutable
@@ -246,8 +200,11 @@ topKPlacements(const hw::Topology &pattern,
 class PlacementSearchPlan
 {
   public:
-    /** Validates and precompiles; same requirements as
-     *  topKPlacements (pattern fits the target, mask sized right). */
+    /** Validates and precompiles: the pattern must fit the target
+     *  and @p allowed, when given, must size the target.
+     *  @p allowed is an optional target-qubit mask; the search then
+     *  maps pattern vertices onto allowed targets only. nullptr
+     *  follows the exact unmasked enumeration and pruning order. */
     PlacementSearchPlan(const hw::Topology &pattern,
                         const PlacementCostModel &cost_model,
                         const std::vector<bool> *allowed = nullptr);
@@ -268,15 +225,20 @@ class PlacementSearchPlan
     topKPlacements(const PlacementSearchPlan &plan,
                    const EmbeddingScorer &scorer, std::size_t k,
                    std::size_t limit, PlacementSearchStats *stats,
-                   const runtime::JobScheduler *scheduler,
                    const HostSetConstraint *constraint);
 };
 
 /**
- * topKPlacements against a prebuilt plan: identical results to the
- * plan-free overload (same search, same doubles, same order), minus
- * the per-call plan construction.
+ * The K best embeddings of the plan's pattern into the device graph
+ * of its cost model, best first under placementBefore (ties beyond
+ * the map broken on the embedding — a strict total order). Pruning
+ * never drops a placement that belongs in the top K.
  *
+ * @param limit blowup guard: at most @p limit completed embeddings
+ *        are explored *per root branch* (per root-frontier host of
+ *        the first pattern vertex), so a binding limit cuts the same
+ *        subtrees whatever the other roots find.
+ * @param stats optional search-effort counters
  * @param constraint optional host-set constraint; the result is then
  *        the K best among the embeddings that satisfy it, under the
  *        same total order. nullptr searches unconstrained.
@@ -286,7 +248,6 @@ topKPlacements(const PlacementSearchPlan &plan,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit = 100000,
                PlacementSearchStats *stats = nullptr,
-               const runtime::JobScheduler *scheduler = nullptr,
                const HostSetConstraint *constraint = nullptr);
 
 } // namespace qedm::transpile

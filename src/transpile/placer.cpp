@@ -192,8 +192,7 @@ Placer::topPlacements(const circuit::Circuit &logical, std::size_t k,
             map = completeMap(view_, problem, embedding);
             esp = problem.model->espOfTrace(problem.trace, map);
         };
-    auto best = topKPlacements(search->plan, scorer, k, limit, nullptr,
-                               scheduler_);
+    auto best = topKPlacements(search->plan, scorer, k, limit);
     std::vector<ScoredPlacement> out;
     out.reserve(best.size());
     for (auto &scored : best)

@@ -22,10 +22,6 @@
 #include "hw/device.hpp"
 #include "hw/device_view.hpp"
 
-namespace qedm::runtime {
-class JobScheduler;
-}
-
 namespace qedm::transpile {
 
 /** A logical-to-physical assignment with its compile-time score. */
@@ -66,8 +62,6 @@ class Placer
      * beat the current K-th best, so the full embedding list is never
      * materialized. Empty when the interaction graph does not embed.
      *
-     * When a scheduler is attached (setScheduler) the root frontier
-     * fans out over it; results are bit-identical at every --jobs.
      * @p limit caps completions per root branch (see topKPlacements).
      *
      * Ties in ESP order lexicographically on the mapping vector.
@@ -75,16 +69,6 @@ class Placer
     std::vector<ScoredPlacement>
     topPlacements(const circuit::Circuit &logical, std::size_t k,
                   std::size_t limit = 20000) const;
-
-    /**
-     * Attach a job scheduler for parallel placement search. The
-     * caller keeps @p scheduler alive for the placer's lifetime;
-     * nullptr (the default state) searches sequentially.
-     */
-    void setScheduler(const runtime::JobScheduler *scheduler)
-    {
-        scheduler_ = scheduler;
-    }
 
     /**
      * All VF2 embeddings of the circuit's interaction graph, scored
@@ -120,7 +104,6 @@ class Placer
     struct Cache;
 
     hw::DeviceView view_;
-    const runtime::JobScheduler *scheduler_ = nullptr;
     std::shared_ptr<Cache> cache_;
 };
 

@@ -55,9 +55,7 @@ Transpiler::runPasses(const circuit::Circuit &logical,
     if (initial_map == nullptr) {
         passes.emplace_back(
             "place", [this](CompileContext &ctx, PassMetadata &meta) {
-                Placer placer(view_);
-                placer.setScheduler(scheduler_);
-                ctx.initialMap = placer.place(*ctx.logical);
+                ctx.initialMap = Placer(view_).place(*ctx.logical);
                 meta.metrics["placedQubits"] =
                     static_cast<double>(ctx.initialMap.size());
             });

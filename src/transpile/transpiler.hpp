@@ -125,16 +125,11 @@ class Transpiler
     void setVerify(bool verify) { verify_ = verify; }
 
     /**
-     * Attach a job scheduler so the place pass fans its placement
-     * search out in parallel (bit-identical results at every --jobs;
-     * an operational knob, never part of compile fingerprints). The
-     * caller keeps @p scheduler alive for the transpiler's lifetime;
-     * nullptr (the default) compiles sequentially.
+     * No effect: placement search is serial. Kept only because the
+     * perfbench replay still calls it; remove with
+     * EnsembleConfig::vf2Limit in the next benchmark change.
      */
-    void setScheduler(const runtime::JobScheduler *scheduler)
-    {
-        scheduler_ = scheduler;
-    }
+    void setScheduler(const runtime::JobScheduler * /*scheduler*/) {}
 
   private:
     CompileTrace
@@ -144,7 +139,6 @@ class Transpiler
     hw::DeviceView view_;
     RouteCost cost_;
     bool verify_;
-    const runtime::JobScheduler *scheduler_ = nullptr;
 };
 
 } // namespace qedm::transpile

@@ -1,7 +1,8 @@
 // Seeded determinism violations for the analyzer self-test: the
 // `analyze_fixture` ctest case runs qedm_analyze over
-// tests/analyze_fixture and expects a nonzero exit with every
-// determinism-family rule firing. Never compiled; only scanned.
+// tests/analyze_fixture and expects a nonzero exit; every rule, this
+// determinism family included, fires somewhere in the fixture. Never
+// compiled; only scanned.
 
 #include <chrono>
 #include <ctime>

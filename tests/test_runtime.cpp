@@ -11,6 +11,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
@@ -229,10 +230,9 @@ TEST(RuntimeDeterminism, PipelineIdenticalAcrossJobs)
 }
 
 core::ExperimentSummary
-runExperimentAtJobs(int jobs)
+runExperimentAtJobs(const hw::Device &device, core::ExperimentConfig config,
+                    int jobs)
 {
-    const hw::Device device = hw::Device::melbourne(2);
-    core::ExperimentConfig config;
     config.rounds = 3;
     config.totalShots = 2048;
     config.jobs = jobs;
@@ -241,24 +241,42 @@ runExperimentAtJobs(int jobs)
 
 TEST(RuntimeDeterminism, ExperimentIdenticalAcrossJobs)
 {
-    const auto seq = runExperimentAtJobs(1);
-    const auto par = runExperimentAtJobs(8);
+    // Two inputs: the whole melbourne device, and a heavy-hex-27 run
+    // scoped to a 20-qubit region, whose placement searches and
+    // candidates all go through the region mask.
+    const hw::Device melbourne = hw::Device::melbourne(2);
+    const hw::Device heavy_hex = hw::Device::synthetic(
+        "heavy-hex-27", hw::Topology::heavyHex27(), hw::CalibrationSpec{},
+        hw::NoiseSpec{}, 7);
+    core::ExperimentConfig regional;
+    for (int q = 0; q < 20; ++q)
+        regional.region.push_back(q);
+    const std::vector<std::pair<const hw::Device *, core::ExperimentConfig>>
+        inputs = {{&melbourne, core::ExperimentConfig{}},
+                  {&heavy_hex, regional}};
 
-    ASSERT_EQ(seq.rounds.size(), par.rounds.size());
-    for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
-        EXPECT_EQ(seq.rounds[r].edm.ist, par.rounds[r].edm.ist);
-        EXPECT_EQ(seq.rounds[r].edm.pst, par.rounds[r].edm.pst);
-        EXPECT_EQ(seq.rounds[r].wedm.ist, par.rounds[r].wedm.ist);
-        EXPECT_EQ(seq.rounds[r].wedm.pst, par.rounds[r].wedm.pst);
-        EXPECT_EQ(seq.rounds[r].baselineEst.ist,
-                  par.rounds[r].baselineEst.ist);
-        EXPECT_EQ(seq.rounds[r].baselinePost.ist,
-                  par.rounds[r].baselinePost.ist);
+    for (const auto &[device, config] : inputs) {
+        SCOPED_TRACE(device->name());
+        const auto seq = runExperimentAtJobs(*device, config, 1);
+        const auto par = runExperimentAtJobs(*device, config, 8);
+
+        ASSERT_EQ(seq.rounds.size(), par.rounds.size());
+        for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
+            EXPECT_EQ(seq.rounds[r].edm.ist, par.rounds[r].edm.ist);
+            EXPECT_EQ(seq.rounds[r].edm.pst, par.rounds[r].edm.pst);
+            EXPECT_EQ(seq.rounds[r].wedm.ist, par.rounds[r].wedm.ist);
+            EXPECT_EQ(seq.rounds[r].wedm.pst, par.rounds[r].wedm.pst);
+            EXPECT_EQ(seq.rounds[r].baselineEst.ist,
+                      par.rounds[r].baselineEst.ist);
+            EXPECT_EQ(seq.rounds[r].baselinePost.ist,
+                      par.rounds[r].baselinePost.ist);
+        }
+        EXPECT_EQ(seq.median.edm.ist, par.median.edm.ist);
+        EXPECT_EQ(seq.median.wedm.ist, par.median.wedm.ist);
+        EXPECT_EQ(seq.median.baselineEst.pst, par.median.baselineEst.pst);
+        EXPECT_EQ(seq.median.baselinePost.pst,
+                  par.median.baselinePost.pst);
     }
-    EXPECT_EQ(seq.median.edm.ist, par.median.edm.ist);
-    EXPECT_EQ(seq.median.wedm.ist, par.median.wedm.ist);
-    EXPECT_EQ(seq.median.baselineEst.pst, par.median.baselineEst.pst);
-    EXPECT_EQ(seq.median.baselinePost.pst, par.median.baselinePost.pst);
 }
 
 TEST(RuntimeDeterminism, ExplicitStreamMatchesRngEntryPoint)

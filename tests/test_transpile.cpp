@@ -19,7 +19,6 @@
 #include "common/error.hpp"
 #include "hw/device.hpp"
 #include "hw/device_view.hpp"
-#include "runtime/scheduler.hpp"
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/distances.hpp"
@@ -598,9 +597,9 @@ TEST(TopPlacements, BoundPruningActuallyFires)
         map_out = emb;
         esp_out = model->espOfTrace(trace, emb);
     };
+    const PlacementSearchPlan plan(pattern, cost);
     PlacementSearchStats stats;
-    const auto top =
-        topKPlacements(pattern, cost, scorer, 4, 100000, &stats);
+    const auto top = topKPlacements(plan, scorer, 4, 100000, &stats);
     ASSERT_EQ(top.size(), 4u);
     EXPECT_GT(stats.nodesVisited, 0u);
     EXPECT_GT(stats.prunedBound, 0u);
@@ -613,9 +612,8 @@ TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
 {
     // A constrained query returns the head of the exhaustive ranking
     // filtered to embeddings sharing at most maxShared hosts with each
-    // avoided set: at every cap, serially and fanned out, for a
-    // connected pattern and for one whose second component starts
-    // unanchored.
+    // avoided set: at every cap, for a connected pattern and for one
+    // whose second component starts unanchored.
     const hw::Device device = hw::Device::melbourne(2);
     const auto model = sharedEspModel(device);
     const hw::Topology &topo = device.topology();
@@ -623,7 +621,6 @@ TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
         hw::Topology(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
         hw::Topology(5, {{0, 1}, {1, 2}, {3, 4}}),
     };
-    const runtime::JobScheduler pool(4);
     constexpr std::size_t k = 4;
     for (std::size_t c = 0; c < patterns.size(); ++c) {
         const hw::Topology &pattern = patterns[c];
@@ -677,23 +674,17 @@ TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
             if (max_shared == n - 1) {
                 EXPECT_EQ(expected.size(), k) << "pattern " << c;
             }
-            for (const runtime::JobScheduler *sched :
-                 {static_cast<const runtime::JobScheduler *>(nullptr),
-                  &pool}) {
-                const auto got = topKPlacements(plan, scorer, k, 100000,
-                                                nullptr, sched,
-                                                &constraint);
-                const std::string at =
-                    "pattern " + std::to_string(c) + " maxShared " +
-                    std::to_string(max_shared) +
-                    (sched != nullptr ? " parallel" : " serial");
-                ASSERT_EQ(got.size(), expected.size()) << at;
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    EXPECT_EQ(got[i].embedding, expected[i].embedding)
-                        << at << " i=" << i;
-                    EXPECT_EQ(got[i].esp, expected[i].esp)
-                        << at << " i=" << i;
-                }
+            const auto got = topKPlacements(plan, scorer, k, 100000,
+                                            nullptr, &constraint);
+            const std::string at = "pattern " + std::to_string(c) +
+                                   " maxShared " +
+                                   std::to_string(max_shared);
+            ASSERT_EQ(got.size(), expected.size()) << at;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].embedding, expected[i].embedding)
+                    << at << " i=" << i;
+                EXPECT_EQ(got[i].esp, expected[i].esp)
+                    << at << " i=" << i;
             }
         }
     }

@@ -1,9 +1,6 @@
 /**
  * @file
- * CLI for the token-aware static analyzer. Built twice: as
- * `qedm_analyze` (the full interface) and as `qedm_lint` (the
- * legacy name, same binary — `qedm_lint [root]` keeps working for
- * every script and ctest case that predates the engine swap).
+ * CLI for the token-aware static analyzer, `qedm_analyze`.
  *
  * Usage: qedm_analyze [options] [root]
  *   --format text|sarif   output format (default text)
