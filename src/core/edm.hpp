@@ -108,10 +108,11 @@ struct EdmConfig
     resilience::ResilienceConfig resilience;
     /**
      * Crash-safe journaling (resilience/journal.hpp). When @ref journal
-     * is set, every completed work unit's outcome is durably recorded
-     * before the run proceeds; when @ref replay is set, units found in
-     * it are restored instead of executed (crash resume). Neither is
-     * owned. @ref journalRound keys this pipeline execution's records
+     * is set, every completed work unit's outcome is written to it
+     * before the run proceeds (it survives a process death; it becomes
+     * durable across an OS crash at the next round commit); when
+     * @ref replay is set, units found in it are restored instead of
+     * executed (crash resume). Neither is owned. @ref journalRound keys this pipeline execution's records
      * inside a multi-round experiment.
      */
     resilience::Journal *journal = nullptr;

@@ -247,6 +247,8 @@ runExperiment(const hw::Device &device,
 
             // Commit the round: after this record lands, a resumed run
             // restores the round wholesale and never recompiles it.
+            // recordRound fsyncs, so the commit (and every record
+            // before it) also survives an OS crash.
             if (config.journal != nullptr) {
                 config.journal->recordRound(
                     static_cast<std::uint32_t>(round), packRound(out));

@@ -109,8 +109,10 @@ struct ExperimentConfig
     std::vector<int> region;
     /**
      * Crash-safe journal to record into (resilience/journal.hpp).
-     * Every completed work unit and every committed round is durably
-     * recorded before execution proceeds. Not owned.
+     * Every completed work unit and every committed round is written
+     * before execution proceeds, so it survives a process death; each
+     * round commit fsyncs the file, so committed rounds also survive
+     * an OS crash. Not owned.
      */
     resilience::Journal *journal = nullptr;
     /**

@@ -108,6 +108,19 @@ class Reader
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
     double f64() { return std::bit_cast<double>(u64()); }
 
+    /**
+     * A declared element count, checked against the bytes left: a
+     * count that cannot fit is corruption, not an allocation request.
+     */
+    std::uint64_t count(std::size_t element_bytes)
+    {
+        const std::uint64_t n = u64();
+        if (n > (n_ - pos_) / element_bytes)
+            throwCorrupt("journal record declares more elements than "
+                         "its payload holds");
+        return n;
+    }
+
     bool exhausted() const { return pos_ == n_; }
 
   private:
@@ -146,9 +159,12 @@ getCounts(Reader &r)
     if (width < 1 || width > 20)
         throwCorrupt("journal batch record has an invalid counts width");
     stats::Counts counts(width);
-    const std::uint64_t entries = r.u64();
+    const std::uint64_t entries = r.count(8 + 8);
     for (std::uint64_t i = 0; i < entries; ++i) {
         const Outcome outcome = r.u64();
+        if (outcome >= (Outcome(1) << width))
+            throwCorrupt("journal batch record holds an outcome wider "
+                         "than its counts width");
         counts.add(outcome, r.u64());
     }
     return counts;
@@ -191,7 +207,8 @@ DegradationReport
 getReport(Reader &r)
 {
     DegradationReport report;
-    const std::uint64_t faults = r.u64();
+    // FaultEvent on disk: kind u8 | member u32 | batch u64 | attempt i32.
+    const std::uint64_t faults = r.count(1 + 4 + 8 + 4);
     report.faults.reserve(faults);
     for (std::uint64_t i = 0; i < faults; ++i) {
         FaultEvent e;
@@ -201,7 +218,9 @@ getReport(Reader &r)
         e.attempt = r.i32();
         report.faults.push_back(e);
     }
-    const std::uint64_t members = r.u64();
+    // MemberDegradation on disk: member u32 | cause u8 | planned u64
+    // | completed u64 | kept u8 | retries i32.
+    const std::uint64_t members = r.count(4 + 1 + 8 + 8 + 1 + 4);
     report.members.reserve(members);
     for (std::uint64_t i = 0; i < members; ++i) {
         MemberDegradation m;
@@ -256,6 +275,7 @@ Journal::create(const std::string &path, const JournalFingerprint &fp)
     w.u64(fp.seedRoot);
     writeAll(fd, w.bytes().data(), w.bytes().size());
     QEDM_REQUIRE(::fsync(fd) == 0, "journal fsync failed");
+    journal.syncs_.store(1);
     return journal;
 }
 
@@ -272,11 +292,12 @@ Journal::resume(const std::string &path, std::uint64_t valid_bytes)
     QEDM_REQUIRE(::lseek(fd, 0, SEEK_END) >= 0,
                  "cannot seek journal to its end");
     QEDM_REQUIRE(::fsync(fd) == 0, "journal fsync failed");
+    journal.syncs_.store(1);
     return journal;
 }
 
 Journal::Journal(Journal &&other) noexcept
-    : fd_(std::exchange(other.fd_, -1))
+    : fd_(std::exchange(other.fd_, -1)), syncs_(other.syncs_.load())
 {
 }
 
@@ -287,6 +308,7 @@ Journal::operator=(Journal &&other) noexcept
         if (fd_ >= 0)
             ::close(fd_);
         fd_ = std::exchange(other.fd_, -1);
+        syncs_.store(other.syncs_.load());
     }
     return *this;
 }
@@ -298,7 +320,8 @@ Journal::~Journal()
 }
 
 void
-Journal::append(std::uint8_t type, const std::vector<std::uint8_t> &payload)
+Journal::append(std::uint8_t type, const std::vector<std::uint8_t> &payload,
+                bool sync)
 {
     QEDM_ASSERT(payload.size() < kMaxPayload, "journal record too large");
     Writer frame;
@@ -308,12 +331,24 @@ Journal::append(std::uint8_t type, const std::vector<std::uint8_t> &payload)
     for (const std::uint8_t byte : payload)
         frame.u8(byte);
     frame.u64(fnv1a(type, payload.data(), payload.size()));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    QEDM_REQUIRE(fd_ >= 0, "journal is closed");
-    // One write() per record keeps the crash model simple: the file is
-    // a valid prefix plus at most one torn tail frame.
-    writeAll(fd_, frame.bytes().data(), frame.bytes().size());
-    QEDM_REQUIRE(::fsync(fd_) == 0, "journal fsync failed");
+    int fd = -1;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        QEDM_REQUIRE(fd_ >= 0, "journal is closed");
+        // One write() per record keeps the crash model simple: what a
+        // returned write() handed to the page cache survives a process
+        // death, so the file is a valid prefix plus at most one torn
+        // tail frame.
+        writeAll(fd_, frame.bytes().data(), frame.bytes().size());
+        fd = fd_;
+    }
+    // The fsync runs outside the mutex so workers appending batch
+    // records do not queue behind the disk flush. It flushes the whole
+    // file, so it makes every record written before this one durable.
+    if (!sync)
+        return;
+    QEDM_REQUIRE(::fsync(fd) == 0, "journal fsync failed");
+    syncs_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -327,7 +362,7 @@ Journal::recordBatch(const BatchKey &key, const BatchRecord &record)
     w.i32(record.attempts);
     w.u8(record.exhausted ? 1 : 0);
     putCounts(w, record.counts);
-    append(kBatchRecord, w.bytes());
+    append(kBatchRecord, w.bytes(), false);
 }
 
 void
@@ -337,7 +372,7 @@ Journal::recordWallAbandon(std::uint32_t round, const WallAbandon &event)
     w.u32(round);
     w.u32(static_cast<std::uint32_t>(event.member));
     w.u64(event.batch);
-    append(kWallAbandonRecord, w.bytes());
+    append(kWallAbandonRecord, w.bytes(), false);
 }
 
 void
@@ -348,7 +383,7 @@ Journal::recordRound(std::uint32_t round, const RoundRecord &record)
     for (const double v : record.policy)
         w.f64(v);
     putReport(w, record.degradation);
-    append(kRoundRecord, w.bytes());
+    append(kRoundRecord, w.bytes(), true);
 }
 
 JournalReplay

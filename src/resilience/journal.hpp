@@ -3,26 +3,33 @@
  * Crash-safe experiment journal: append-only record stream + replay.
  *
  * A long EDM experiment must survive the process dying under it — an
- * OOM kill, a pre-emption, a power cut — without losing completed work
+ * OOM kill, a pre-emption, a power cut — without losing committed work
  * or, worse, silently changing its answer on the rerun. The journal
  * makes experiment execution crash-tolerant and *bit-reproducible*
  * across the crash boundary:
  *
- *   - Every durable fact is one self-checksummed record, written with
- *     a single write() followed by fsync(), so the on-disk stream is
- *     always a valid prefix plus at most one torn tail record.
+ *   - Every fact is one self-checksummed record, written with a
+ *     single write(). Durability has two levels. After a process
+ *     death (kill -9, OOM, pre-emption) the file is a valid prefix
+ *     plus at most one torn tail record: written records sit in the
+ *     page cache. After an OS crash or power loss every committed
+ *     round is durable: a round record is followed by fsync(), which
+ *     flushes every record written before it too. Records written
+ *     since the last commit may be lost; resume recomputes them
+ *     deterministically.
  *   - The header fingerprints the (config, device, seed-root) triple;
  *     resume refuses to graft records onto a different run.
  *   - Batch records capture a work unit's merged outcome (attempts,
  *     exhaustion, counts); round records are commit points carrying
  *     the four policy PST/IST numbers bit-exactly plus the full
  *     DegradationReport. Wall-abandon records turn the inherently
- *     nondeterministic watchdog fire into a durable fact that resume
+ *     nondeterministic watchdog fire into a recorded fact that resume
  *     and `--replay-faults` re-apply as a forced fault.
  *
  * Failure taxonomy (CheckError, pass "journal"): an unreadable header
  * is JournalHeaderInvalid; a checksum-bad or unknown-type record with
- * bytes after it is JournalCorruptRecord; a mismatched fingerprint is
+ * bytes after it, or a checksum-good record with malformed contents, is
+ * JournalCorruptRecord; a mismatched fingerprint is
  * JournalFingerprintMismatch. A torn or checksum-bad *final* record is
  * the expected crash artifact: replay stops before it and resume
  * truncates it away, redoing that batch.
@@ -35,6 +42,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -121,8 +129,9 @@ struct RoundRecord
 };
 
 /**
- * Append side: an open journal file. One write() + fsync() per record;
- * thread-safe (units complete concurrently). Move-only.
+ * Append side: an open journal file. One write() per record; fsync()
+ * only in create(), resume() and after each round record, outside the
+ * append mutex. Thread-safe (units complete concurrently). Move-only.
  */
 class Journal
 {
@@ -144,17 +153,24 @@ class Journal
     Journal &operator=(const Journal &) = delete;
     ~Journal();
 
+    /** Append a work unit's outcome (written, not fsync'd). */
     void recordBatch(const BatchKey &key, const BatchRecord &record);
+    /** Append a watchdog fire (written, not fsync'd). */
     void recordWallAbandon(std::uint32_t round, const WallAbandon &event);
+    /** Append a round's commit record and fsync the file. */
     void recordRound(std::uint32_t round, const RoundRecord &record);
+
+    /** fsync() calls made so far: 1 for create/resume, 1 per round. */
+    std::uint64_t syncCount() const { return syncs_.load(); }
 
   private:
     explicit Journal(int fd) : fd_(fd) {}
     void append(std::uint8_t type,
-                const std::vector<std::uint8_t> &payload);
+                const std::vector<std::uint8_t> &payload, bool sync);
 
     int fd_ = -1;
     std::mutex mutex_;
+    std::atomic<std::uint64_t> syncs_{0};
 };
 
 /**

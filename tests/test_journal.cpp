@@ -87,6 +87,86 @@ writeFile(const std::string &path, const std::vector<char> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+// Record type tags of the on-disk format (journal.cpp).
+constexpr std::uint8_t kBatchRecord = 1;
+constexpr std::uint8_t kRoundRecord = 3;
+
+/** Little-endian payload builder for hand-made records. */
+struct Bytes
+{
+    std::vector<std::uint8_t> b;
+
+    Bytes &u8(std::uint8_t v)
+    {
+        b.push_back(v);
+        return *this;
+    }
+    Bytes &u32(std::uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        return *this;
+    }
+    Bytes &u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        return *this;
+    }
+};
+
+/** The format's frame checksum: fnv1a64 over type + payload. */
+std::uint64_t
+fnv1a(std::uint8_t type, const std::vector<std::uint8_t> &payload)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    h = (h ^ type) * 1099511628211ull;
+    for (const std::uint8_t byte : payload)
+        h = (h ^ byte) * 1099511628211ull;
+    return h;
+}
+
+/** Append one correctly checksummed frame to the journal at @p path. */
+void
+appendFrame(const std::string &path, std::uint8_t type,
+            const std::vector<std::uint8_t> &payload)
+{
+    Bytes frame;
+    frame.u32(static_cast<std::uint32_t>(payload.size())).u8(type);
+    frame.b.insert(frame.b.end(), payload.begin(), payload.end());
+    frame.u64(fnv1a(type, payload));
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char *>(frame.b.data()),
+              static_cast<std::streamsize>(frame.b.size()));
+}
+
+/** A record boundary: the end offset of a frame and its type. */
+struct FrameEnd
+{
+    std::uint64_t offset = 0;
+    std::uint8_t type = 0;
+};
+
+/** Parse the frame lengths of an intact journal image. */
+std::vector<FrameEnd>
+frameEnds(const std::vector<char> &bytes)
+{
+    std::vector<FrameEnd> ends;
+    std::uint64_t offset = kHeaderBytes;
+    while (offset < bytes.size()) {
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= std::uint32_t(static_cast<std::uint8_t>(
+                       bytes[offset + static_cast<std::uint64_t>(i)]))
+                   << (8 * i);
+        const auto type = static_cast<std::uint8_t>(bytes[offset + 4]);
+        offset += 4ull + 1 + len + 8;
+        ends.push_back({offset, type});
+    }
+    EXPECT_EQ(offset, bytes.size()) << "journal image has a torn tail";
+    return ends;
+}
+
 stats::Counts
 someCounts()
 {
@@ -378,6 +458,67 @@ TEST(JournalTest, MidStreamCorruptionIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(JournalTest, MalformedRecordWithValidChecksumIsCorrupt)
+{
+    // A record can pass its checksum and still be malformed (a writer
+    // bug, or a flip that happens to collide). Such records must land
+    // in the journal's taxonomy, not escape as UserError from
+    // Counts::add or std::length_error from an unchecked reserve().
+    const auto batchHead = [] {
+        Bytes b;
+        b.u32(0).u8(0).u32(0).u64(0); // key: round, stage, member, batch
+        b.u32(1).u8(0);               // attempts, exhausted
+        b.u8(1).u32(3);               // has counts, width 3
+        return b;
+    };
+    const auto roundHead = [] {
+        Bytes b;
+        b.u32(0);
+        for (int i = 0; i < 8; ++i)
+            b.u64(0); // policy doubles
+        return b;
+    };
+    struct Case
+    {
+        const char *name;
+        std::uint8_t type;
+        std::vector<std::uint8_t> payload;
+    };
+    std::vector<Case> cases;
+    // Outcome 8 does not fit a 3-bit register.
+    cases.push_back(
+        {"outcome", kBatchRecord, batchHead().u64(1).u64(8).u64(5).b});
+    // Far more counts entries than the payload holds.
+    cases.push_back({"entries", kBatchRecord,
+                     batchHead().u64(1ull << 40).u64(1).u64(5).b});
+    // Fault and member counts that would make reserve() throw.
+    cases.push_back({"faults", kRoundRecord,
+                     roundHead().u64(1ull << 61).u64(0).u64(0).u64(0)
+                         .u32(0).b});
+    cases.push_back({"members", kRoundRecord,
+                     roundHead().u64(0).u64(~0ull).u64(0).u64(0)
+                         .u32(0).b});
+
+    for (const Case &c : cases) {
+        const std::string path = tmpPath(std::string("malformed_") +
+                                         c.name + ".bin");
+        { Journal::create(path, someFingerprint()); }
+        appendFrame(path, c.type, c.payload);
+        try {
+            JournalReplay::load(path);
+            ADD_FAILURE() << "malformed record accepted: " << c.name;
+        } catch (const check::CheckError &e) {
+            EXPECT_EQ(e.kind(), check::CheckErrorKind::JournalCorruptRecord)
+                << c.name;
+            EXPECT_EQ(e.pass(), "journal") << c.name;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << c.name << " escaped the journal taxonomy: "
+                          << e.what();
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(JournalTest, BadHeaderIsRejected)
 {
     const std::string garbage = tmpPath("garbage.bin");
@@ -536,6 +677,96 @@ TEST(JournalExperimentTest, ResumeFromAnyTruncationIsBitIdentical)
             std::remove(path.c_str());
         }
     }
+    std::remove(full.c_str());
+}
+
+TEST(JournalExperimentTest, FsyncsOncePerCommittedRound)
+{
+    // Durability contract: create() and resume() fsync once, every
+    // round commit fsyncs once, batch records never do.
+    for (const int jobs : {1, 4}) {
+        const std::string full = tmpPath("exp_sync_full.bin");
+        ExperimentConfig config = smallExperiment(jobs);
+        const hw::Device device = hw::Device::melbourne(kSeed);
+        {
+            Journal journal = Journal::create(
+                full, core::experimentFingerprint(
+                          device, benchmarks::bv6(), config, kSeed));
+            EXPECT_EQ(journal.syncCount(), 1u);
+            config.journal = &journal;
+            runBv6(config);
+            EXPECT_EQ(journal.syncCount(), 1u + 3u) << "jobs " << jobs;
+        }
+
+        const auto bytes = readFile(full);
+        const std::string path = tmpPath("exp_sync_cut.bin");
+        writeFile(path, std::vector<char>(
+                            bytes.begin(),
+                            bytes.begin() +
+                                static_cast<long>(bytes.size() / 2)));
+        const JournalReplay replay = JournalReplay::load(path);
+        ASSERT_LT(replay.roundCount(), 3u);
+        Journal journal = Journal::resume(path, replay.validBytes());
+        EXPECT_EQ(journal.syncCount(), 1u);
+        ExperimentConfig resuming = smallExperiment(jobs);
+        resuming.replay = &replay;
+        resuming.journal = &journal;
+        runBv6(resuming);
+        EXPECT_EQ(journal.syncCount(), 1u + (3u - replay.roundCount()))
+            << "jobs " << jobs;
+        std::remove(path.c_str());
+        std::remove(full.c_str());
+    }
+}
+
+TEST(JournalExperimentTest, ResumeFromEveryRecordBoundaryIsBitIdentical)
+{
+    // An OS crash on a file system that keeps write order leaves the
+    // journal cut at a record boundary somewhere after the last fsync'd
+    // round commit. Every such cut must resume to the uninterrupted
+    // summary.
+    const std::string full = tmpPath("exp_every_full.bin");
+    const ExperimentSummary golden = runBv6(smallExperiment(1));
+    {
+        ExperimentConfig config = smallExperiment(4);
+        const hw::Device device = hw::Device::melbourne(kSeed);
+        Journal journal = Journal::create(
+            full, core::experimentFingerprint(
+                      device, benchmarks::bv6(), config, kSeed));
+        config.journal = &journal;
+        runBv6(config);
+    }
+    const auto bytes = readFile(full);
+    std::vector<FrameEnd> cuts = {{kHeaderBytes, kRoundRecord}};
+    for (const FrameEnd &end : frameEnds(bytes))
+        cuts.push_back(end);
+    ASSERT_GT(cuts.size(), 4u);
+
+    const std::string path = tmpPath("exp_every_cut.bin");
+    for (const FrameEnd &cut : cuts) {
+        // Every boundary at jobs 1; the commit points (and the bare
+        // header) at jobs 4 too, where the surviving rounds restore
+        // while the rest run concurrently.
+        std::vector<int> jobs_values = {1};
+        if (cut.type == kRoundRecord)
+            jobs_values.push_back(4);
+        for (const int jobs : jobs_values) {
+            writeFile(path, std::vector<char>(
+                                bytes.begin(),
+                                bytes.begin() +
+                                    static_cast<long>(cut.offset)));
+            const JournalReplay replay = JournalReplay::load(path);
+            EXPECT_FALSE(replay.truncatedTail());
+            Journal journal = Journal::resume(path, replay.validBytes());
+            ExperimentConfig config = smallExperiment(jobs);
+            config.replay = &replay;
+            config.journal = &journal;
+            SCOPED_TRACE("cut at byte " + std::to_string(cut.offset) +
+                         ", jobs " + std::to_string(jobs));
+            expectSameSummary(runBv6(config), golden);
+        }
+    }
+    std::remove(path.c_str());
     std::remove(full.c_str());
 }
 

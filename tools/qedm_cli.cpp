@@ -51,8 +51,8 @@
  *
  * Crash-safety flags (experiment only, anywhere on the line):
  *   --journal <path>         record every completed batch and round
- *                            into a crash-safe journal (fsync'd,
- *                            checksummed, append-only)
+ *                            into a crash-safe journal (checksummed,
+ *                            append-only, fsync'd at round commits)
  *   --resume <path>          resume a crashed journaled run: committed
  *                            rounds and batches are restored, recorded
  *                            wall-clock fires are forced, and the
