@@ -451,6 +451,15 @@ runSimKernelSweep()
                                       tape_bv7, device.calibration()));
                               },
                               50));
+        // One round's trial budget drawn from that prebuilt law: the
+        // guide-table sampler every exact-law trial goes through.
+        emit("law_shots_bv7_16384",
+             timeBestNs(
+                 [&] {
+                     benchmark::DoNotOptimize(
+                         exec.run(tape_bv7, 16384, rng));
+                 },
+                 50));
         // Batched-engine width sweep (BM_BatchedShotsBv6): the same
         // noisy shot loop at explicit SoA lane widths, so the guard
         // catches a regression that only hits one batching regime
@@ -472,8 +481,8 @@ runSimKernelSweep()
     }
     {
         // Coherent-only device: the tape is deterministic, so this
-        // times the trajectory engine's evolve-once +
-        // binary-search-sampling fast path.
+        // times the trajectory engine's evolve-once fast path, whose
+        // shots are guided draws from the one evolved state.
         hw::NoiseSpec spec;
         spec.coherentScale = 1.5;
         spec.stochasticScale = 0.0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -348,12 +350,13 @@ ExecutionTape::build(const hw::Device &device, const Circuit &physical)
 
     if (tape.numLocal <= kExactLawMaxQubits) {
         const stats::Distribution law = exactLaw(tape, cal);
-        tape.cumulativeLaw.resize(law.size());
+        std::vector<double> cumulative(law.size());
         double acc = 0.0;
         for (std::size_t o = 0; o < law.size(); ++o) {
             acc += law.probabilities()[o];
-            tape.cumulativeLaw[o] = acc;
+            cumulative[o] = acc;
         }
+        tape.law = LawSampler(std::move(cumulative));
     }
     return tape;
 }

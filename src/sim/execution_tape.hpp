@@ -34,6 +34,7 @@
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/law_sampler.hpp"
 #include "stats/distribution.hpp"
 
 namespace qedm::sim {
@@ -115,16 +116,18 @@ struct ExecutionTape
     std::vector<TapePairReadout> pairReadout;
     bool stochastic = false; ///< any per-shot randomness pre-readout
     /**
-     * Cumulative exact output law over the 2^numClbits classical
-     * outcomes (readout channels included), normalized so the last
-     * entry is 1 within rounding. Filled by build() iff numLocal <=
-     * kExactLawMaxQubits, empty otherwise; the density-matrix scratch
-     * it came from is freed before build() returns.
+     * Exact output law over the 2^numClbits classical outcomes
+     * (readout channels included): its cumulative form, normalized so
+     * the last entry is 1 within rounding, plus the guide table every
+     * trial's draw starts from (sim/law_sampler.hpp). Filled by
+     * build() iff numLocal <= kExactLawMaxQubits, empty otherwise; the
+     * density-matrix scratch it came from is freed before build()
+     * returns.
      */
-    std::vector<double> cumulativeLaw;
+    LawSampler law;
 
     /** Does this tape carry its exact output law? */
-    bool hasLaw() const { return !cumulativeLaw.empty(); }
+    bool hasLaw() const { return !law.empty(); }
 
     /**
      * Preprocess @p physical for @p device. The circuit register must

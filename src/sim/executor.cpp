@@ -10,6 +10,7 @@
 #include "sim/batched_statevector.hpp"
 #include "sim/channels.hpp"
 #include "sim/kernel_shapes.hpp"
+#include "sim/law_sampler.hpp"
 #include "sim/shot_plan.hpp"
 #include "sim/statevector.hpp"
 
@@ -94,12 +95,12 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
     };
 
     // On the deterministic path the Born distribution is fixed across
-    // shots: precompute its cumulative form once and sampling becomes
-    // a binary search instead of an O(2^n) scan per shot.
-    std::vector<double> cumulative;
+    // shots: sample it like an exact law, one guided draw per shot
+    // instead of an O(2^n) scan.
+    LawSampler born;
     if (deterministic) {
         applyTrajectoryNoise(sv); // no randomness is consumed
-        cumulative = sv.cumulativeProbabilities();
+        born = LawSampler(sv.cumulativeProbabilities());
     }
 
     for (std::uint64_t shot = 0; shot < shots; ++shot) {
@@ -107,7 +108,7 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
             break;
         std::size_t basis;
         if (deterministic) {
-            basis = sampleFromCumulative(cumulative, rng);
+            basis = born.sample(rng);
         } else {
             sv.reset();
             applyTrajectoryNoise(sv);
@@ -317,21 +318,21 @@ runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
 }
 
 /**
- * Exact-law sampling: one uniform per trial against the tape's
- * cumulative output law, with the continuation gate consulted before
- * each trial exactly as the trajectory loop does — so a gated run cut
- * at trial L equals an ungated run of L trials on the same stream.
+ * Exact-law sampling: one uniform per trial, one guided draw from the
+ * tape's law, with the continuation gate consulted before each trial
+ * exactly as the trajectory loop does — so a gated run cut at trial L
+ * equals an ungated run of L trials on the same stream.
  */
 template <typename Gate>
 stats::Counts
 sampleLaw(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
           const Gate &gate)
 {
-    std::vector<std::uint64_t> tally(tape.cumulativeLaw.size(), 0);
+    std::vector<std::uint64_t> tally(tape.law.size(), 0);
     for (std::uint64_t trial = 0; trial < shots; ++trial) {
         if (!gate(trial))
             break;
-        ++tally[sampleFromCumulative(tape.cumulativeLaw, rng)];
+        ++tally[tape.law.sample(rng)];
     }
     stats::Counts counts(tape.numClbits);
     for (std::size_t o = 0; o < tally.size(); ++o) {
@@ -398,11 +399,12 @@ Executor::exactDistribution(const ExecutionTape &tape) const
 {
     if (!tape.hasLaw())
         return exactLaw(tape, device_.calibration());
-    std::vector<double> probs(tape.cumulativeLaw.size());
+    const std::vector<double> &cum = tape.law.cumulative();
+    std::vector<double> probs(cum.size());
     double prev = 0.0;
     for (std::size_t o = 0; o < probs.size(); ++o) {
-        probs[o] = tape.cumulativeLaw[o] - prev;
-        prev = tape.cumulativeLaw[o];
+        probs[o] = cum[o] - prev;
+        prev = cum[o];
     }
     stats::Distribution dist =
         stats::Distribution::fromProbabilities(std::move(probs));

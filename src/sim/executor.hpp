@@ -75,8 +75,9 @@ class Executor
      * Same, from a prebuilt tape (must have been built against a
      * device with this Executor's fingerprint). A tape that carries
      * its exact law (ExecutionTape::hasLaw) draws each trial with one
-     * uniform from the cumulative law (sampleFromCumulative); any
-     * other tape runs on runTrajectories().
+     * uniform and a guide-table lookup into the cumulative law
+     * (LawSampler, the index a binary search would return); any other
+     * tape runs on runTrajectories().
      */
     stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
                       Rng &rng) const;

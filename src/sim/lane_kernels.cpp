@@ -28,15 +28,13 @@ namespace {
 
 std::atomic<bool> g_force_scalar{false};
 
+#ifdef QEDM_HAVE_AVX2_BUILD
 bool
 cpuHasAvx2()
 {
-#ifdef QEDM_HAVE_AVX2_BUILD
     return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
 }
+#endif
 
 } // namespace
 

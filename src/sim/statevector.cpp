@@ -381,15 +381,4 @@ StateVector::normalize()
     normCacheValid_ = true;
 }
 
-std::size_t
-sampleFromCumulative(const std::vector<double> &cum, Rng &rng)
-{
-    QEDM_REQUIRE(!cum.empty(), "empty cumulative distribution");
-    const double r = rng.uniform() * cum.back();
-    const auto it = std::upper_bound(cum.begin(), cum.end(), r);
-    if (it == cum.end())
-        return cum.size() - 1;
-    return static_cast<std::size_t>(it - cum.begin());
-}
-
 } // namespace qedm::sim

@@ -92,8 +92,10 @@ class StateVector
     /**
      * Cumulative basis-state probabilities in basis order:
      * cum[i] = sum_{j<=i} |amps[j]|^2, so cum.back() equals norm().
-     * Precompute once for a fixed state and use sampleFromCumulative
-     * to turn per-shot measurement sampling into a binary search.
+     * Precompute once for a fixed state and wrap it in a LawSampler
+     * (sim/law_sampler.hpp): per-shot measurement sampling then picks
+     * the same index as sampleMeasurement's linear scan, by a guided
+     * table lookup.
      */
     std::vector<double> cumulativeProbabilities() const;
 
@@ -124,14 +126,5 @@ class StateVector
     mutable double cachedNorm_ = 1.0;
     mutable bool normCacheValid_ = true;
 };
-
-/**
- * Sample an outcome index from precomputed cumulative probabilities
- * (see StateVector::cumulativeProbabilities) with one RNG draw and a
- * binary search. Selects the same index as a linear Born scan with
- * r = uniform() * cum.back(): the first i with r < cum[i].
- */
-std::size_t sampleFromCumulative(const std::vector<double> &cum,
-                                 Rng &rng);
 
 } // namespace qedm::sim

@@ -34,6 +34,7 @@
 #include "sim/channels.hpp"
 #include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
+#include "sim/law_sampler.hpp"
 #include "sim/statevector.hpp"
 #include "stats/counts.hpp"
 #include "transpile/transpiler.hpp"
@@ -288,11 +289,11 @@ TEST(KernelEquivalence, CumulativeSamplingMatchesLinearScan)
     ASSERT_EQ(cum.size(), sv.dim());
     EXPECT_EQ(cum.back(), sv.norm());
     const std::vector<Complex> ref = sv.amplitudes();
+    const sim::LawSampler sampler(cum);
     Rng rngNew(31);
     Rng rngRef(31);
     for (int draw = 0; draw < 4096; ++draw) {
-        EXPECT_EQ(sim::sampleFromCumulative(cum, rngNew),
-                  refSample(ref, rngRef));
+        EXPECT_EQ(sampler.sample(rngNew), refSample(ref, rngRef));
     }
 }
 
