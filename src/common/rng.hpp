@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -33,11 +34,23 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }
 
-    /** Next raw 64-bit value. */
-    result_type operator()();
+    /** Next raw 64-bit value (one xoshiro256++ step; inline because
+     *  every trial draw starts here). */
+    result_type operator()()
+    {
+        const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): 53 random mantissa bits. */
+    double uniform() { return ((*this)() >> 11) * 0x1.0p-53; }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);

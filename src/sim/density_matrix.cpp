@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -12,9 +13,28 @@ namespace {
 
 using Superop1q = DensityMatrix::Superop1q;
 
-/** Row-major 16x16 superoperator over a vectorized 4x4 block:
- *  index 4 * row + col, where row/col = 2 * bit(q0) + bit(q1). */
-using Superop2q = std::array<Complex, 256>;
+/** Row-major 16x16 superoperator over a vectorized 4x4 block, split
+ *  into real and imaginary planes: index 4 * row + col, where
+ *  row/col = 2 * bit(q0) + bit(q1). */
+struct Superop2q
+{
+    std::array<double, 256> re{};
+    std::array<double, 256> im{};
+};
+
+/**
+ * a * b as std::complex computes it for finite operands, (ac - bd,
+ * ad + bc), without its NaN-recovery branch, so loops over it stay
+ * straight (every operand here is finite). No FMA: the build turns FP
+ * contraction off and this TU's SLP vectorizer with it
+ * (src/sim/CMakeLists.txt).
+ */
+inline Complex
+mul(Complex a, Complex b)
+{
+    return {a.real() * b.real() - a.imag() * b.imag(),
+            a.real() * b.imag() + a.imag() * b.real()};
+}
 
 /**
  * Nonzero entries of an N x N superoperator, split into real and
@@ -26,25 +46,28 @@ using Superop2q = std::array<Complex, 256>;
 template <std::size_t N>
 struct Terms
 {
-    std::array<std::uint8_t, N * N> out{};
-    std::array<std::uint8_t, N * N> in{};
-    std::array<double, N * N> re{};
-    std::array<double, N * N> im{};
+    // Only the first n entries are read (all N * N when dense).
+    std::array<std::uint8_t, N * N> out;
+    std::array<std::uint8_t, N * N> in;
+    std::array<double, N * N> re;
+    std::array<double, N * N> im;
     std::size_t n = 0;
 
-    explicit Terms(const std::array<Complex, N * N> &m)
+    /** From row-major real and imaginary planes @p mr, @p mi. */
+    Terms(const double *mr, const double *mi)
     {
         // Column order: consecutive terms update different outputs,
         // so their accumulations do not chain through one slot.
         for (std::size_t i = 0; i < N; ++i) {
             for (std::size_t o = 0; o < N; ++o) {
-                const Complex v = m[o * N + i];
-                if (v == Complex(0.0))
+                const double vr = mr[o * N + i];
+                const double vi = mi[o * N + i];
+                if (vr == 0.0 && vi == 0.0)
                     continue;
                 out[n] = static_cast<std::uint8_t>(o);
                 in[n] = static_cast<std::uint8_t>(i);
-                re[n] = v.real();
-                im[n] = v.imag();
+                re[n] = vr;
+                im[n] = vi;
                 ++n;
             }
         }
@@ -61,8 +84,8 @@ struct Terms
             // terms reach each output in the same order through
             // contiguous rows the compiler vectorizes across outputs
             // — the indexed loop's result, bit for bit. That holds
-            // only with FP contraction off (src/sim/CMakeLists.txt):
-            // a fused multiply-add would round differently.
+            // only with no multiply-add fused (mul() above), which
+            // would round differently.
             for (std::size_t i = 0; i < N; ++i) {
                 const double xr = vr[i];
                 const double xi = vi[i];
@@ -84,6 +107,20 @@ struct Terms
     }
 };
 
+/**
+ * The block sweeps carry most of a law's cost, and their dense kernel
+ * runs twice as wide on AVX2. GCC builds a baseline and an AVX2 clone
+ * and picks one at load time; both do the same IEEE multiplies and
+ * adds per output (AVX2 has no FMA, and FP contraction is off), so the
+ * bits do not depend on the host. QEDM_NO_SIMD builds the baseline
+ * only.
+ */
+#if !defined(QEDM_NO_SIMD) && defined(__x86_64__) && defined(__GNUC__)
+#define QEDM_SWEEP_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define QEDM_SWEEP_CLONES
+#endif
+
 /** Next subset of @p mask after @p s (a subset of it), in increasing
  *  order; wraps to 0 after @p mask. */
 inline std::size_t
@@ -101,17 +138,39 @@ identity1q()
     return s;
 }
 
+// The superoperator builders below skip products with an exact zero
+// factor where that saves work. Such a product is ±0 in both parts,
+// and each sum it would join starts at +0.0 and is never -0.0 (x + y
+// rounds an exact zero to +0.0), so adding it changes no bit.
+// unitary2q's entries are assignments, not sums; a skipped one stays
+// +0.0 where the product may have been -0.0, and every reader of them
+// (Terms, withLocalFirst) drops ±0 alike.
+
+inline bool
+isZero(Complex v)
+{
+    return v == Complex(0.0);
+}
+
 /** Superoperator of rho -> sum_k K rho K^dagger (one K for a unitary):
- *  S[(2a+b), (2c+d)] = sum_k K[a][c] conj(K[b][d]). */
+ *  S[(2a+b), (2c+d)] = sum_k K[a][c] conj(K[b][d]). Each call adds
+ *  one term to each entry, so the loop order is free. */
 void
 accumulateKraus(Superop1q &s, const std::array<Complex, 4> &k)
 {
     for (int a = 0; a < 2; ++a)
-        for (int b = 0; b < 2; ++b)
-            for (int c = 0; c < 2; ++c)
-                for (int d = 0; d < 2; ++d)
-                    s[(2 * a + b) * 4 + (2 * c + d)] +=
-                        k[2 * a + c] * std::conj(k[2 * b + d]);
+        for (int c = 0; c < 2; ++c) {
+            const Complex kac = k[2 * a + c];
+            if (isZero(kac))
+                continue;
+            for (int b = 0; b < 2; ++b)
+                for (int d = 0; d < 2; ++d) {
+                    const Complex kbd = k[2 * b + d];
+                    if (!isZero(kbd))
+                        s[(2 * a + b) * 4 + (2 * c + d)] +=
+                            mul(kac, std::conj(kbd));
+                }
+        }
 }
 
 /** a * b for 4x4 row-major superoperators (b applied first). */
@@ -120,9 +179,13 @@ compose(const Superop1q &a, const Superop1q &b)
 {
     Superop1q c{};
     for (int i = 0; i < 4; ++i)
-        for (int k = 0; k < 4; ++k)
+        for (int k = 0; k < 4; ++k) {
+            const Complex aik = a[i * 4 + k];
+            if (isZero(aik))
+                continue;
             for (int j = 0; j < 4; ++j)
-                c[i * 4 + j] += a[i * 4 + k] * b[k * 4 + j];
+                c[i * 4 + j] += mul(aik, b[k * 4 + j]);
+        }
     return c;
 }
 
@@ -130,42 +193,60 @@ compose(const Superop1q &a, const Superop1q &b)
 Superop2q
 unitary2q(const std::array<Complex, 16> &u)
 {
-    Superop2q g{};
+    Superop2q g;
     for (int x = 0; x < 4; ++x)
-        for (int y = 0; y < 4; ++y)
-            for (int xi = 0; xi < 4; ++xi)
-                for (int yi = 0; yi < 4; ++yi)
-                    g[(4 * x + y) * 16 + (4 * xi + yi)] =
-                        u[x * 4 + xi] * std::conj(u[y * 4 + yi]);
+        for (int xi = 0; xi < 4; ++xi) {
+            const Complex ux = u[x * 4 + xi];
+            if (isZero(ux))
+                continue;
+            for (int y = 0; y < 4; ++y)
+                for (int yi = 0; yi < 4; ++yi) {
+                    if (isZero(u[y * 4 + yi]))
+                        continue;
+                    const Complex v = mul(ux, std::conj(u[y * 4 + yi]));
+                    g.re[(4 * x + y) * 16 + (4 * xi + yi)] = v.real();
+                    g.im[(4 * x + y) * 16 + (4 * xi + yi)] = v.imag();
+                }
+        }
     return g;
 }
 
-/** g * (p0 on the q0 bit, p1 on the q1 bit) over a 4x4 block. */
+/**
+ * g * lift for lift = p0 on the q0 bit, p1 on the q1 bit, over a 4x4
+ * block. Row k of lift is built once and spread over every output row
+ * i with g[i][k] != 0 in one straight loop over the row, so each
+ * output still sums its terms in increasing k.
+ */
 Superop2q
 withLocalFirst(const Superop2q &g, const Superop1q &p0,
                const Superop1q &p1)
 {
-    Superop2q lift{};
-    for (int x = 0; x < 4; ++x)
-        for (int y = 0; y < 4; ++y)
-            for (int xi = 0; xi < 4; ++xi)
-                for (int yi = 0; yi < 4; ++yi) {
-                    const int o0 = 2 * (x >> 1) + (y >> 1);
-                    const int o1 = 2 * (x & 1) + (y & 1);
-                    const int i0 = 2 * (xi >> 1) + (yi >> 1);
-                    const int i1 = 2 * (xi & 1) + (yi & 1);
-                    lift[(4 * x + y) * 16 + (4 * xi + yi)] =
-                        p0[o0 * 4 + i0] * p1[o1 * 4 + i1];
-                }
-    Superop2q out{};
-    for (int i = 0; i < 16; ++i)
-        for (int k = 0; k < 16; ++k) {
-            const Complex gik = g[i * 16 + k];
-            if (gik == Complex(0.0))
-                continue;
-            for (int j = 0; j < 16; ++j)
-                out[i * 16 + j] += gik * lift[k * 16 + j];
+    Superop2q out;
+    for (int k = 0; k < 16; ++k) {
+        const int x = k >> 2, y = k & 3;
+        const Complex *r0 = &p0[(2 * (x >> 1) + (y >> 1)) * 4];
+        const Complex *r1 = &p1[(2 * (x & 1) + (y & 1)) * 4];
+        double lr[16], li[16];
+        for (int j = 0; j < 16; ++j) {
+            const int xi = j >> 2, yi = j & 3;
+            const Complex v = mul(r0[2 * (xi >> 1) + (yi >> 1)],
+                                  r1[2 * (xi & 1) + (yi & 1)]);
+            lr[j] = v.real();
+            li[j] = v.imag();
         }
+        for (int i = 0; i < 16; ++i) {
+            const double gr = g.re[i * 16 + k];
+            const double gi = g.im[i * 16 + k];
+            if (gr == 0.0 && gi == 0.0)
+                continue;
+            double *orr = &out.re[i * 16];
+            double *ori = &out.im[i * 16];
+            for (int j = 0; j < 16; ++j) {
+                orr[j] += gr * lr[j] - gi * li[j];
+                ori[j] += gr * li[j] + gi * lr[j];
+            }
+        }
+    }
     return out;
 }
 
@@ -182,7 +263,7 @@ withLocalFirst(const Superop2q &g, const Superop1q &p0,
  * computed; their adjoints are mirrored. Returns the pairs computed.
  */
 template <std::size_t N>
-std::uint64_t
+QEDM_SWEEP_CLONES std::uint64_t
 sweepBlocks(std::vector<Complex> &rho, std::size_t dim,
             std::size_t coherent, std::size_t classical,
             const std::array<std::size_t, N> &off,
@@ -256,6 +337,32 @@ couplesPopulationsAndCoherences(const Superop1q &s)
     return false;
 }
 
+/**
+ * The calling thread's spare matrix buffer, zero in every entry. A
+ * DensityMatrix takes it when it is large enough and hands its own
+ * buffer back, refilled with +0.0, when it dies, so a thread evolving
+ * law after law allocates one matrix, not one per law. The refill
+ * covers all dim^2 entries: a pass also writes signed zeros (a
+ * mirrored +0.0 imaginary part becomes -0.0) to entries that are dead
+ * afterwards, and a later matrix must find +0.0 wherever it reads an
+ * entry it never wrote. Buffers above 8 qubits (1 MB) are freed
+ * instead of kept.
+ */
+thread_local std::vector<Complex> t_spare;
+constexpr std::size_t kMaxSpareEntries = std::size_t(1) << 16;
+
+/** A buffer of at least @p entries zeros, the spare if it fits. */
+std::vector<Complex>
+acquireZeroed(std::size_t entries)
+{
+    std::vector<Complex> buf;
+    if (t_spare.size() >= entries)
+        buf.swap(t_spare);
+    else
+        buf.assign(entries, Complex(0.0));
+    return buf;
+}
+
 } // namespace
 
 DensityMatrix::DensityMatrix(int num_qubits)
@@ -263,11 +370,45 @@ DensityMatrix::DensityMatrix(int num_qubits)
 {
     QEDM_REQUIRE(num_qubits >= 1 && num_qubits <= 10,
                  "density matrices are limited to 10 qubits");
-    rho_.assign(dim_ * dim_, Complex(0.0));
+    rho_ = acquireZeroed(dim_ * dim_);
     rho_[0] = Complex(1.0);
     pending_.assign(static_cast<std::size_t>(num_qubits), identity1q());
     hasPending_.assign(static_cast<std::size_t>(num_qubits), 0);
     fresh_ = dim_ - 1;
+}
+
+DensityMatrix::DensityMatrix(const DensityMatrix &other)
+    : numQubits_(other.numQubits_), dim_(other.dim_),
+      pending_(other.pending_), hasPending_(other.hasPending_),
+      fresh_(other.fresh_), classical_(other.classical_),
+      blockPairsSwept_(other.blockPairsSwept_)
+{
+    if (other.rho_.empty())
+        return; // moved-from
+    rho_ = acquireZeroed(dim_ * dim_);
+    std::copy_n(other.rho_.begin(), dim_ * dim_, rho_.begin());
+}
+
+DensityMatrix &
+DensityMatrix::operator=(DensityMatrix other) noexcept
+{
+    std::swap(numQubits_, other.numQubits_);
+    std::swap(dim_, other.dim_);
+    rho_.swap(other.rho_);
+    pending_.swap(other.pending_);
+    hasPending_.swap(other.hasPending_);
+    std::swap(fresh_, other.fresh_);
+    std::swap(classical_, other.classical_);
+    std::swap(blockPairsSwept_, other.blockPairsSwept_);
+    return *this;
+}
+
+DensityMatrix::~DensityMatrix()
+{
+    if (rho_.size() <= t_spare.size() || rho_.size() > kMaxSpareEntries)
+        return;
+    std::fill_n(rho_.begin(), dim_ * dim_, Complex(0.0));
+    t_spare.swap(rho_);
 }
 
 Complex
@@ -337,8 +478,9 @@ DensityMatrix::apply2q(const std::array<Complex, 16> &m, int q0, int q1,
     fresh_ &= ~(m0 | m1);
     blockPairsSwept_ += sweepBlocks<4>(
         rho_, dim_, (dim_ - 1) & ~(fresh_ | classical_ | m0 | m1),
-        classical_, {0, m1, m0, m0 | m1}, Terms<16>(g),
-        1.0 - 16.0 * depol / 15.0, 4.0 * depol / 15.0);
+        classical_, {0, m1, m0, m0 | m1},
+        Terms<16>(g.re.data(), g.im.data()), 1.0 - 16.0 * depol / 15.0,
+        4.0 * depol / 15.0);
 }
 
 void
@@ -399,9 +541,14 @@ DensityMatrix::flush(int q) const
     fresh_ &= ~bit;
     // On a classical q the block's coherences are dead: they read 0
     // and, the factor being phase-covariant (queue() checks), map to 0.
+    double pr[16], pi[16];
+    for (int t = 0; t < 16; ++t) {
+        pr[t] = pending_[qi][t].real();
+        pi[t] = pending_[qi][t].imag();
+    }
     blockPairsSwept_ += sweepBlocks<2>(
         rho_, dim_, (dim_ - 1) & ~(fresh_ | classical_ | bit),
-        classical_ & ~bit, {0, bit}, Terms<4>(pending_[qi]), 1.0, 0.0);
+        classical_ & ~bit, {0, bit}, Terms<4>(pr, pi), 1.0, 0.0);
     pending_[qi] = identity1q();
     hasPending_[qi] = 0;
 }
@@ -440,8 +587,8 @@ DensityMatrix::purity() const
     // Hermitian rho.
     flushAll();
     double p = 0.0;
-    for (const Complex &v : rho_)
-        p += std::norm(v);
+    for (std::size_t i = 0; i < dim_ * dim_; ++i)
+        p += std::norm(rho_[i]);
     return p;
 }
 

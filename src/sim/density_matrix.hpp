@@ -28,6 +28,12 @@
  * (r ^ c) & classical == 0; every other entry of rho is exactly 0.
  * No pass copies the matrix, and a pass costs its live block pairs,
  * not dim^2.
+ *
+ * The matrix lives in a buffer borrowed from a per-thread spare that
+ * is zero everywhere; a matrix going away refills its buffer with
+ * zeros and hands it back, so a thread evolving law after law
+ * allocates one matrix, not one per law. Copies own their buffer; a
+ * moved-from matrix may only be assigned or destroyed.
  */
 
 #pragma once
@@ -48,6 +54,10 @@ class DensityMatrix
   public:
     /** |0..0><0..0| on @p num_qubits qubits. */
     explicit DensityMatrix(int num_qubits);
+    DensityMatrix(const DensityMatrix &other);
+    DensityMatrix(DensityMatrix &&other) noexcept = default;
+    DensityMatrix &operator=(DensityMatrix other) noexcept;
+    ~DensityMatrix();
 
     int numQubits() const { return numQubits_; }
     std::size_t dim() const { return dim_; }
@@ -121,6 +131,8 @@ class DensityMatrix
 
     int numQubits_;
     std::size_t dim_;
+    /** Row-major rho in the first dim^2 entries; any entries past
+     *  those (a larger borrowed buffer) stay zero. */
     mutable std::vector<Complex> rho_;
     /** Per-qubit composed 1-qubit channel not yet applied to rho_. */
     mutable std::vector<Superop1q> pending_;

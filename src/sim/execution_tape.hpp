@@ -121,8 +121,8 @@ struct ExecutionTape
      * the last entry is 1 within rounding, plus the guide table every
      * trial's draw starts from (sim/law_sampler.hpp). Filled by
      * build() iff numLocal <= kExactLawMaxQubits, empty otherwise; the
-     * density-matrix scratch it came from is freed before build()
-     * returns.
+     * density-matrix scratch it came from goes back to the thread's
+     * spare buffer (sim/density_matrix.hpp) before build() returns.
      */
     LawSampler law;
 

@@ -32,6 +32,14 @@ Executor::run(const Circuit &physical, std::uint64_t shots,
 namespace {
 
 /**
+ * The trajectory loops fold their per-shot outcomes into Counts a
+ * chunk at a time (Counts::addShots: one counting pass or sort, one
+ * linear merge); an ordered insert per shot would cost O(distinct)
+ * each on a wide register.
+ */
+constexpr std::size_t kFoldChunk = std::size_t(1) << 14;
+
+/**
  * The trajectory loop, templated on the per-trial continuation gate so
  * the gate-free overload compiles to exactly the unhooked loop (the
  * fault hook costs nothing unless a gate is passed).
@@ -46,6 +54,9 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
          std::uint64_t shots, Rng &rng, const Gate &gate)
 {
     stats::Counts counts(tape.numClbits);
+    std::vector<Outcome> outcomes;
+    outcomes.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(shots, kFoldChunk)));
     StateVector sv(tape.numLocal);
 
     // Deterministic fast path: with no per-shot randomness before
@@ -130,8 +141,13 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
                 outcome = flipBit(outcome, pr.clbitB);
             }
         }
-        counts.add(outcome);
+        outcomes.push_back(outcome);
+        if (outcomes.size() == kFoldChunk) {
+            counts.addShots(outcomes);
+            outcomes.clear();
+        }
     }
+    counts.addShots(outcomes);
     return counts;
 }
 
@@ -197,8 +213,8 @@ buildChainHints(const ExecutionTape &tape)
 void
 runOneBatch(BatchedStateVector &sv, const BatchPlan &plan,
             const hw::Calibration &cal, const ExecutionTape &tape,
-            const std::vector<ChainHint> &hints, stats::Counts &counts,
-            std::vector<std::size_t> &basis)
+            const std::vector<ChainHint> &hints,
+            std::vector<Outcome> &outcomes, std::vector<std::size_t> &basis)
 {
     const std::size_t lanes = plan.lanes();
     std::size_t ks = 0;
@@ -262,7 +278,7 @@ runOneBatch(BatchedStateVector &sv, const BatchPlan &plan,
                 outcome = flipBit(outcome, tape.pairReadout[p].clbitB);
             }
         }
-        counts.add(outcome);
+        outcomes.push_back(outcome);
     }
 }
 
@@ -286,6 +302,7 @@ runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
         {width, std::max<std::size_t>(l1_lanes, 4), mem_lanes});
 
     stats::Counts counts(tape.numClbits);
+    std::vector<Outcome> outcomes;
     BatchPlan plan;
     const std::vector<ChainHint> hints = buildChainHints(tape);
     std::vector<std::size_t> basis;
@@ -311,9 +328,14 @@ runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
             sv = tail.get();
         }
         plan.presample(tape, cal, batch, rng);
-        runOneBatch(*sv, plan, cal, tape, hints, counts, basis);
+        runOneBatch(*sv, plan, cal, tape, hints, outcomes, basis);
+        if (outcomes.size() >= kFoldChunk) {
+            counts.addShots(outcomes);
+            outcomes.clear();
+        }
         done += batch;
     }
+    counts.addShots(outcomes);
     return counts;
 }
 

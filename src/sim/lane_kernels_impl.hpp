@@ -3,7 +3,8 @@
  * Single source for both lane-kernel builds (see lane_kernels.hpp).
  *
  * Included exactly twice, by lane_kernels_scalar.cpp (baseline ISA)
- * and lane_kernels_avx2.cpp (compiled with -mavx2 -ffp-contract=off);
+ * and lane_kernels_avx2.cpp (compiled with -mavx2; the whole build has
+ * -ffp-contract=off);
  * the includer defines QEDM_LANE_NS to give each build its own
  * namespace. When __AVX2__ is defined the hot loops run explicit
  * 4-lane intrinsics with a plain remainder loop; otherwise the plain

@@ -1,11 +1,21 @@
 #include "sim/law_sampler.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace qedm::sim {
+
+namespace {
+
+/** Guide buckets per law entry, and the guide size below which that
+ *  ratio holds (law_sampler.hpp). */
+constexpr std::size_t kBucketsPerEntry = 16;
+constexpr std::size_t kGuideCap = std::size_t(1) << 16;
+
+} // namespace
 
 LawSampler::LawSampler(std::vector<double> cumulative)
     : cum_(std::move(cumulative))
@@ -15,10 +25,12 @@ LawSampler::LawSampler(std::vector<double> cumulative)
     QEDM_REQUIRE(cum_.size() <= std::numeric_limits<std::uint32_t>::max(),
                  "cumulative distribution too large to index");
     const std::size_t n = cum_.size();
+    const std::size_t m =
+        std::min(kBucketsPerEntry * n, std::max(n, kGuideCap));
     const double total = cum_.back();
-    buckets_ = static_cast<double>(n);
+    buckets_ = static_cast<double>(m);
     scale_ = total > 0.0 ? buckets_ / total : 0.0;
-    guide_.resize(n);
+    guide_.resize(m);
     // guide[b] = the first i with bucket(cum[i]) >= b, or n if none;
     // bucket(cum[i]) is non-decreasing in i.
     std::size_t b = 0;
@@ -27,7 +39,7 @@ LawSampler::LawSampler(std::vector<double> cumulative)
         while (b <= top)
             guide_[b++] = static_cast<std::uint32_t>(i);
     }
-    while (b < n)
+    while (b < m)
         guide_[b++] = static_cast<std::uint32_t>(n);
 }
 

@@ -166,11 +166,13 @@ Distribution::sample(Rng &rng, std::uint64_t shots) const
         cdf[i] = acc;
     }
     cdf.back() = 1.0;
-    for (std::uint64_t s = 0; s < shots; ++s) {
+    std::vector<Outcome> outcomes(shots);
+    for (Outcome &o : outcomes) {
         const double r = rng.uniform();
-        const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-        counts.add(static_cast<Outcome>(it - cdf.begin()));
+        o = static_cast<Outcome>(
+            std::lower_bound(cdf.begin(), cdf.end(), r) - cdf.begin());
     }
+    counts.addShots(outcomes);
     return counts;
 }
 

@@ -25,7 +25,8 @@
  * std::upper_bound on adversarial laws and to a binary-search loop's
  * Counts on every member, the dense superoperator kernel to a
  * test-local zero-skipping pass, and every member's cumulative law to
- * pinned fingerprints.
+ * pinned fingerprints. Matrices evolved in a thread's reused buffer
+ * match first-use evaluations bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -37,7 +38,9 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
@@ -810,9 +813,9 @@ TEST(LawSampler, MatchesUpperBoundOnAdversarialLaws)
     below.back() -= 1e-15;
     ASSERT_GT(cumulativeOf(above).back(), 1.0);
     ASSERT_LT(cumulativeOf(below).back(), 1.0);
-    // Every boundary on a bucket edge, total 1 - 1e-15: the bucket
-    // products round, so draws just below an edge must still start at
-    // or before their answer.
+    // Every boundary on a bucket edge (every 16th of the 4096), total
+    // 1 - 1e-15: the bucket products round, so draws just below an
+    // edge must still start at or before their answer.
     std::vector<double> on_edges(256);
     for (std::size_t i = 0; i < on_edges.size(); ++i)
         on_edges[i] = static_cast<double>(i + 1) * (1.0 - 1e-15) / 256.0;
@@ -833,19 +836,26 @@ TEST(LawSampler, MatchesUpperBoundOnAdversarialLaws)
         {"total 1 + 1e-15", cumulativeOf(above)},
         {"total 1 - 1e-15", cumulativeOf(below)},
         {"boundaries on bucket edges", on_edges},
+        // 2^16 buckets, the cap, reached at n = 2^12 already; above
+        // 2^16 entries the guide has one bucket per entry.
+        {"n=2^13 at the cap", cumulativeOf(random_mass(1 << 13))},
+        {"n=2^17 above the cap", cumulativeOf(random_mass(1 << 17))},
     };
     for (const auto &[name, cum] : laws) {
         SCOPED_TRACE(name);
         const double total = cum.back();
         const sim::LawSampler sampler(cum);
         ASSERT_EQ(sampler.cumulative(), cum);
+        const std::size_t n = cum.size();
+        ASSERT_EQ(sampler.buckets(),
+                  std::min(16 * n, std::max<std::size_t>(n, 1 << 16)));
 
-        // Every bucket edge and every decision boundary, each with
-        // its nextafter neighbours.
-        const double n = static_cast<double>(cum.size());
+        // Every edge of the sampler's own buckets and every decision
+        // boundary, each with its nextafter neighbours.
+        const double m = static_cast<double>(sampler.buckets());
         std::vector<double> points;
-        for (std::size_t b = 0; b <= cum.size(); ++b)
-            points.push_back(static_cast<double>(b) * total / n);
+        for (std::size_t b = 0; b <= sampler.buckets(); ++b)
+            points.push_back(static_cast<double>(b) * total / m);
         points.insert(points.end(), cum.begin(), cum.end());
         for (const double p : std::vector<double>(points)) {
             points.push_back(std::nextafter(p, 0.0));
@@ -1145,6 +1155,97 @@ TEST(ExactLaw, DenseFusedPassMatchesZeroSkipping)
     ASSERT_TRUE(allNonzero(s));
     zeroSkippingPass<2>(want, 8, 0b010, s, {0, 0b010});
     expectSameBits(snapshot(rho), want);
+}
+
+// Each thread keeps one zeroed spare matrix buffer; a matrix refills
+// its buffer with zeros and hands it back (DESIGN.md §19).
+
+sim::ExecutionTape
+firstMemberTape(const hw::Device &device, const std::string &name)
+{
+    const core::EnsembleBuilder builder(device);
+    return sim::ExecutionTape::build(
+        device,
+        builder.build(benchmarks::byName(name).circuit).front().physical);
+}
+
+/** @p tape's evolved matrix on a thread that has built none before. */
+std::vector<Complex>
+firstUseMatrix(const sim::ExecutionTape &tape)
+{
+    std::vector<Complex> out;
+    std::thread([&] { out = snapshot(sim::evolveDensityMatrix(tape)); })
+        .join();
+    return out;
+}
+
+/**
+ * On the calling thread: 8 qubits, then a fully coherent 8-qubit
+ * matrix dropped mid-evolution, 3 qubits, 8 again, then copies, moves
+ * and assignments over both. Every matrix must equal its first-use
+ * evaluation.
+ */
+void
+reuseSequence(const sim::ExecutionTape &tape8,
+              const std::vector<Complex> &want8,
+              const sim::ExecutionTape &tape3,
+              const std::vector<Complex> &want3)
+{
+    using circuit::OpKind;
+    expectSameBits(snapshot(sim::evolveDensityMatrix(tape8)), want8);
+    {
+        // Every qubit touched and none dephased: all 4^8 entries live.
+        sim::DensityMatrix dropped(8);
+        for (int q = 0; q < 8; ++q)
+            dropped.apply1q(circuit::gateMatrix1q(OpKind::H, {}), q);
+        for (int q = 0; q + 1 < 8; ++q)
+            dropped.apply2q(circuit::gateMatrix2q(OpKind::Cx), q, q + 1,
+                            0.01);
+        ASSERT_NE(dropped.at(0, 255), Complex(0.0));
+    }
+    expectSameBits(snapshot(sim::evolveDensityMatrix(tape3)), want3);
+    expectSameBits(snapshot(sim::evolveDensityMatrix(tape8)), want8);
+
+    sim::DensityMatrix a = sim::evolveDensityMatrix(tape8);
+    sim::DensityMatrix b = a;
+    sim::DensityMatrix c = std::move(a);
+    a = b;
+    b = sim::evolveDensityMatrix(tape3);
+    sim::DensityMatrix d = b;
+    d = std::move(c);
+    expectSameBits(snapshot(a), want8);
+    expectSameBits(snapshot(b), want3);
+    expectSameBits(snapshot(d), want8);
+    expectSameBits(snapshot(sim::evolveDensityMatrix(tape3)), want3);
+}
+
+TEST(DensityMatrixReuse, ReusedBuffersMatchFirstUse)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const sim::ExecutionTape tape8 = firstMemberTape(device, "bv-7");
+    const sim::ExecutionTape tape3 = firstMemberTape(device, "fredkin");
+    ASSERT_EQ(tape8.numLocal, 8);
+    ASSERT_EQ(tape3.numLocal, 3);
+    const std::vector<Complex> want8 = firstUseMatrix(tape8);
+    const std::vector<Complex> want3 = firstUseMatrix(tape3);
+    reuseSequence(tape8, want8, tape3, want3);
+    // The same law again on a fresh thread: the spare is per thread.
+    expectSameBits(firstUseMatrix(tape8), want8);
+}
+
+TEST(DensityMatrixReuse, FourThreadsAtOnce)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const sim::ExecutionTape tape8 = firstMemberTape(device, "bv-7");
+    const sim::ExecutionTape tape3 = firstMemberTape(device, "fredkin");
+    const std::vector<Complex> want8 = firstUseMatrix(tape8);
+    const std::vector<Complex> want3 = firstUseMatrix(tape3);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back(
+            [&] { reuseSequence(tape8, want8, tape3, want3); });
+    for (std::thread &t : threads)
+        t.join();
 }
 
 } // namespace

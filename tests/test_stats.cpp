@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <numeric>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "stats/counts.hpp"
 #include "stats/distribution.hpp"
 #include "stats/metrics.hpp"
@@ -54,6 +59,136 @@ TEST(Counts, MergeRejectsWidthMismatch)
 {
     Counts a(2), b(3);
     EXPECT_THROW(a.merge(b), UserError);
+}
+
+/** @p counts' entries as a std::map, the pre-flat representation. */
+std::map<Outcome, std::uint64_t>
+asMap(const Counts &counts)
+{
+    return {counts.entries().begin(), counts.entries().end()};
+}
+
+TEST(Counts, EntriesStrictlyIncreasing)
+{
+    Rng rng(31);
+    Counts c(8);
+    std::map<Outcome, std::uint64_t> want;
+    for (int i = 0; i < 2000; ++i) {
+        const Outcome o = rng.uniformInt(256);
+        const std::uint64_t n = rng.uniformInt(3); // 0 still records o
+        c.add(o, n);
+        want[o] += n;
+    }
+    const auto &e = c.entries();
+    for (std::size_t i = 1; i < e.size(); ++i)
+        ASSERT_LT(e[i - 1].first, e[i].first);
+    EXPECT_EQ(asMap(c), want);
+    EXPECT_EQ(c.distinct(), want.size());
+    std::uint64_t total = 0;
+    for (const auto &[o, n] : want) {
+        EXPECT_EQ(c.count(o), n);
+        total += n;
+    }
+    EXPECT_EQ(c.total(), total);
+}
+
+TEST(Counts, MergeEqualsAddingOneByOne)
+{
+    Rng rng(32);
+    const auto random_counts = [&](int shots, Outcome range) {
+        Counts c(10);
+        for (int i = 0; i < shots; ++i)
+            c.add(rng.uniformInt(range), 1 + rng.uniformInt(4));
+        return c;
+    };
+    // Interleaved, disjoint (other above and below), empty and equal.
+    const std::vector<std::pair<Counts, Counts>> cases = {
+        {random_counts(300, 1024), random_counts(300, 1024)},
+        {random_counts(100, 512), [&] {
+             Counts c(10);
+             for (Outcome o = 512; o < 1024; o += 7)
+                 c.add(o, o);
+             return c;
+         }()},
+        {[&] {
+             Counts c(10);
+             for (Outcome o = 600; o < 1024; o += 5)
+                 c.add(o, 2);
+             return c;
+         }(),
+         random_counts(100, 512)},
+        {Counts(10), random_counts(50, 1024)},
+        {random_counts(50, 1024), Counts(10)},
+        {random_counts(40, 64), random_counts(40, 64)},
+    };
+    for (const auto &[a, b] : cases) {
+        Counts merged = a;
+        merged.merge(b);
+        Counts added = a;
+        for (const auto &[o, n] : b.entries())
+            added.add(o, n);
+        EXPECT_EQ(merged.entries(), added.entries());
+        EXPECT_EQ(merged.total(), added.total());
+    }
+}
+
+TEST(Counts, WideTrajectoryFoldMatchesMap)
+{
+    // A trajectory loop on a 20-bit register: 16,384 distinct
+    // outcomes in shot order, then repeats, folded in chunks.
+    Rng rng(33);
+    std::vector<Outcome> shots(Outcome(1) << 20);
+    std::iota(shots.begin(), shots.end(), Outcome(0));
+    for (std::size_t i = shots.size() - 1; i > 0; --i)
+        std::swap(shots[i], shots[rng.uniformInt(i + 1)]);
+    shots.resize(16384);
+    for (int i = 0; i < 4096; ++i)
+        shots.push_back(shots[rng.uniformInt(16384)]);
+
+    std::map<Outcome, std::uint64_t> want;
+    Counts one_by_one(20);
+    for (const Outcome o : shots) {
+        ++want[o];
+        one_by_one.add(o);
+    }
+    Counts folded(20);
+    for (std::size_t begin = 0; begin < shots.size(); begin += 5000) {
+        std::vector<Outcome> chunk(
+            shots.begin() + static_cast<std::ptrdiff_t>(begin),
+            shots.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(begin + 5000, shots.size())));
+        folded.addShots(chunk);
+    }
+    EXPECT_EQ(want.size(), 16384u);
+    EXPECT_EQ(asMap(folded), want);
+    EXPECT_EQ(folded.entries(), one_by_one.entries());
+    EXPECT_EQ(folded.total(), shots.size());
+
+    std::vector<Outcome> too_wide = {Outcome(1) << 20};
+    EXPECT_THROW(folded.addShots(too_wide), UserError);
+}
+
+TEST(Counts, NarrowFoldMatchesAddingOneByOne)
+{
+    // At most 2^width distinct outcomes in a chunk at least that long:
+    // addShots counts instead of sorting.
+    Rng rng(34);
+    Counts folded(6), one_by_one(6);
+    folded.add(63, 5);
+    one_by_one.add(63, 5);
+    for (int chunk = 0; chunk < 3; ++chunk) {
+        std::vector<Outcome> shots(64 + 100 * chunk);
+        for (Outcome &o : shots)
+            o = rng.uniformInt(chunk == 0 ? 64 : 13);
+        for (const Outcome o : shots)
+            one_by_one.add(o);
+        folded.addShots(shots);
+        EXPECT_EQ(folded.entries(), one_by_one.entries());
+        EXPECT_EQ(folded.total(), one_by_one.total());
+    }
+    std::vector<Outcome> too_wide(64, 0);
+    too_wide.back() = 64;
+    EXPECT_THROW(folded.addShots(too_wide), UserError);
 }
 
 TEST(Counts, SortedByCountDescending)
