@@ -15,29 +15,6 @@
 namespace qedm::core {
 namespace {
 
-/** One schedulable unit: a shot batch of one ensemble member. */
-struct ShotUnit
-{
-    std::size_t member;
-    std::uint64_t batch;
-    std::uint64_t shots;
-};
-
-/** Cut each member's shot share into fixed-size batches. */
-std::vector<ShotUnit>
-makeUnits(const std::vector<std::uint64_t> &splits, std::uint64_t batch)
-{
-    std::vector<ShotUnit> units;
-    for (std::size_t m = 0; m < splits.size(); ++m) {
-        for (std::uint64_t done = 0, b = 0; done < splits[m];
-             done += batch, ++b) {
-            units.push_back(
-                ShotUnit{m, b, std::min(batch, splits[m] - done)});
-        }
-    }
-    return units;
-}
-
 /**
  * Stream key rooting the fault-injection domain under the pipeline's
  * SeedSequence. Member execution streams use child keys 0..K-1, so
@@ -53,16 +30,16 @@ constexpr std::uint64_t kStreamFaults = 0xFA171D05ull;
  */
 constexpr std::uint64_t kStreamRetryJitter = 0xBAC0FFull;
 
-/** A resilient work unit; limit < shots when the dropout lands here. */
-struct ResilientUnit
+/** One schedulable unit: a shot batch of one member, cut short when
+ *  the member's dropout lands inside it. */
+struct BatchUnit
 {
     std::size_t member;
     std::uint64_t batch;
     std::uint64_t shots;
-    std::uint64_t limit;
 };
 
-/** What one resilient unit produced across its retry attempts. */
+/** What one unit produced across its retry attempts. */
 struct UnitResult
 {
     std::optional<stats::Counts> counts;
@@ -70,12 +47,10 @@ struct UnitResult
     bool exhausted = false;
     /** Abandoned by the live wall-clock watchdog (never executed). */
     bool abandoned = false;
-    /** Restored from a journal instead of executed (crash resume). */
-    bool restored = false;
 };
 
-/** Per-member counts + keep mask + report from a faulted execution. */
-struct ResilientOutcome
+/** Per-member counts + keep mask + degradation report. */
+struct UnitsOutcome
 {
     std::vector<stats::Counts> counts;
     std::vector<bool> kept;
@@ -98,10 +73,18 @@ memberCause(const resilience::MemberFaultPlan &plan,
 }
 
 /**
- * The faulted execution path. Every *injected* fault decision is a
- * pure function of SeedSequence streams and the static batch plan
- * (virtual-time deadlines), so a faulted run — including its fault log
- * and degradation report — is bit-identical at any --jobs value.
+ * The one shot-unit runner, for ensemble members and baselines alike:
+ * cut each member's share into batches, replay or execute each
+ * (member, batch) unit on its own stream under @p res, journal it,
+ * and fold the units back per member. Member m's units draw from
+ * roots[m].child(batch) and are journaled under (stage, m, batch).
+ *
+ * Every *injected* fault decision is a pure function of SeedSequence
+ * streams and the static batch plan (virtual-time deadlines), so a
+ * run — including its fault log and degradation report — is
+ * bit-identical at any --jobs value. With no fault source, deadline
+ * or watchdog, every unit runs its full batch once and the report
+ * stays empty.
  *
  * The wall-clock watchdog is the one deliberately nondeterministic
  * input: live fires depend on real elapsed time. Determinism is
@@ -111,26 +94,39 @@ memberCause(const resilience::MemberFaultPlan &plan,
  * happened to execute out of order — and by recording fires so a
  * replay can force the identical cut through forcedWallAbandons.
  */
-ResilientOutcome
-runResilient(const hw::Device &device, const EdmConfig &config,
-             const std::vector<transpile::CompiledProgram> &programs,
-             const std::vector<std::shared_ptr<const sim::ExecutionTape>>
-                 &tapes,
-             const sim::Executor &executor,
-             const std::vector<std::uint64_t> &splits,
-             const SeedSequence &seq,
-             const runtime::JobScheduler &scheduler)
+UnitsOutcome
+runShotUnits(const hw::Device &device, const EdmConfig &config,
+             const resilience::ResilienceConfig &res,
+             resilience::JournalStage stage,
+             const std::vector<const circuit::Circuit *> &physical,
+             const std::vector<SeedSequence> &roots,
+             const SeedSequence &fault_root,
+             const std::vector<std::uint64_t> &splits)
 {
-    const resilience::ResilienceConfig &res = config.resilience;
-    const std::size_t count = programs.size();
-    const resilience::FaultInjector injector(res.faults,
-                                             seq.child(kStreamFaults));
+    const std::size_t count = physical.size();
+    std::optional<runtime::JobScheduler> owned;
+    const runtime::JobScheduler &scheduler =
+        config.scheduler != nullptr ? *config.scheduler
+                                    : owned.emplace(config.jobs);
+    sim::Executor executor(device);
+    executor.setSimBatch(config.simBatch);
+    const resilience::FaultInjector injector(res.faults, fault_root);
+
+    // Tapes are immutable and shared across all batches of a member;
+    // building one is independent of the others, so members fan out
+    // over the scheduler into pre-assigned slots.
+    std::vector<std::shared_ptr<const sim::ExecutionTape>> tapes(count);
+    scheduler.parallelFor(count, [&](std::size_t m) {
+        tapes[m] = config.tapeCache != nullptr
+                       ? config.tapeCache->get(device, *physical[m])
+                       : std::make_shared<const sim::ExecutionTape>(
+                             sim::ExecutionTape::build(device,
+                                                       *physical[m]));
+    });
 
     // Per-member fault plans. Stale members execute against their own
     // perturbed device snapshot (fresh tape, never cached).
     std::vector<resilience::MemberFaultPlan> plans(count);
-    std::vector<std::shared_ptr<const sim::ExecutionTape>> member_tapes =
-        tapes;
     std::vector<std::optional<sim::Executor>> stale_execs(count);
     for (std::size_t m = 0; m < count; ++m) {
         plans[m] = injector.memberPlan(m, splits[m]);
@@ -138,8 +134,8 @@ runResilient(const hw::Device &device, const EdmConfig &config,
             Rng stale_rng(plans[m].staleSeed);
             const hw::Device stale = device.withStaleCalibration(
                 stale_rng, res.faults.stalenessSeverity);
-            member_tapes[m] = std::make_shared<const sim::ExecutionTape>(
-                sim::ExecutionTape::build(stale, programs[m].physical));
+            tapes[m] = std::make_shared<const sim::ExecutionTape>(
+                sim::ExecutionTape::build(stale, *physical[m]));
             stale_execs[m].emplace(stale);
             stale_execs[m]->setSimBatch(config.simBatch);
         }
@@ -168,7 +164,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
     // Static batch plan: deadline abandonment (cumulative virtual time
     // exceeding the member budget) and dropout truncation are decided
     // up front, so the schedule is independent of execution order.
-    std::vector<ResilientUnit> units;
+    std::vector<BatchUnit> units;
     std::vector<std::uint64_t> next_batch(count, 0);
     std::vector<std::uint64_t> abandon_batch(
         count, resilience::FaultEvent::kNoBatch);
@@ -190,11 +186,13 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                 continue; // replaying a recorded wall-clock cut
             if (plans[m].dropsOut && done >= plans[m].dropoutTrial)
                 continue; // batch lies entirely after the dropout
-            std::uint64_t limit = batch_shots;
+            // A batch cut at the dropout runs only the trials before
+            // it: the same stream prefix the full batch would draw.
+            std::uint64_t shots = batch_shots;
             if (plans[m].dropsOut &&
                 done + batch_shots > plans[m].dropoutTrial)
-                limit = plans[m].dropoutTrial - done;
-            units.push_back(ResilientUnit{m, b, batch_shots, limit});
+                shots = plans[m].dropoutTrial - done;
+            units.push_back(BatchUnit{m, b, shots});
         }
         next_batch[m] = b;
     }
@@ -204,16 +202,16 @@ runResilient(const hw::Device &device, const EdmConfig &config,
     const runtime::RetryPolicy policy{res.retryMax + 1,
                                       res.backoffBaseMs, 2.0,
                                       res.backoffJitter};
-    const auto batchKey = [&](const ResilientUnit &unit) {
+    const auto batchKey = [&](const BatchUnit &unit) {
         return resilience::BatchKey{
-            config.journalRound, resilience::JournalStage::Members,
+            config.journalRound, stage,
             static_cast<std::uint32_t>(unit.member), unit.batch};
     };
     std::mutex wall_mutex;
-    const auto runWave = [&](const std::vector<ResilientUnit> &wave,
+    const auto runWave = [&](const std::vector<BatchUnit> &wave,
                              std::vector<UnitResult> &results) {
         scheduler.parallelFor(wave.size(), [&](std::size_t u) {
-            const ResilientUnit &unit = wave[u];
+            const BatchUnit &unit = wave[u];
             if (config.replay != nullptr) {
                 // Crash resume: completed units restore their durable
                 // outcome instead of executing (no watchdog charge —
@@ -221,10 +219,16 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                 const resilience::BatchRecord *rec =
                     config.replay->findBatch(batchKey(unit));
                 if (rec != nullptr) {
+                    // Only exhausted retries lose a batch, and only
+                    // transient faults exhaust them.
+                    QEDM_REQUIRE(rec->counts.has_value() ||
+                                     (rec->exhausted &&
+                                      res.faults.transientProb > 0.0),
+                                 "journal holds a lost batch for a run "
+                                 "that cannot lose one");
                     results[u].counts = rec->counts;
                     results[u].attempts = rec->attempts;
                     results[u].exhausted = rec->exhausted;
-                    results[u].restored = true;
                     return;
                 }
             }
@@ -249,7 +253,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
             const double start_ms =
                 watchdog ? watchdog->timeSource().nowMs() : 0.0;
             const SeedSequence node =
-                seq.child(unit.member).child(unit.batch);
+                roots[unit.member].child(unit.batch);
             const runtime::RetryOutcome attempt_log =
                 runtime::retryWithBackoff(
                     policy,
@@ -261,20 +265,10 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                                 "injected transient batch failure");
                         }
                         Rng unit_rng = node.rng();
-                        const sim::Executor &exec =
-                            executorFor(unit.member);
-                        if (unit.limit < unit.shots) {
-                            const std::uint64_t limit = unit.limit;
-                            results[u].counts = exec.run(
-                                *member_tapes[unit.member], unit.shots,
-                                unit_rng, [limit](std::uint64_t trial) {
-                                    return trial < limit;
-                                });
-                        } else {
-                            results[u].counts =
-                                exec.run(*member_tapes[unit.member],
-                                         unit.shots, unit_rng);
-                        }
+                        results[u].counts =
+                            executorFor(unit.member)
+                                .run(*tapes[unit.member], unit.shots,
+                                     unit_rng);
                     },
                     res.effectiveClock(),
                     node.child(kStreamRetryJitter));
@@ -293,10 +287,10 @@ runResilient(const hw::Device &device, const EdmConfig &config,
         });
     };
 
-    ResilientOutcome out;
+    UnitsOutcome out;
     out.counts.reserve(count);
     for (std::size_t m = 0; m < count; ++m)
-        out.counts.emplace_back(member_tapes[m]->numClbits);
+        out.counts.emplace_back(tapes[m]->numClbits);
     std::vector<std::uint64_t> completed(count, 0);
     std::vector<int> retries(count, 0);
     resilience::DegradationReport &report = out.report;
@@ -306,10 +300,10 @@ runResilient(const hw::Device &device, const EdmConfig &config,
     // Units at or past a member's wall fire contribute nothing — not
     // counts, events, or retries — even when they executed before the
     // fire was observed, so the live cut matches the replayed one.
-    const auto recordWave = [&](const std::vector<ResilientUnit> &wave,
+    const auto recordWave = [&](const std::vector<BatchUnit> &wave,
                                 const std::vector<UnitResult> &results) {
         for (std::size_t u = 0; u < wave.size(); ++u) {
-            const ResilientUnit &unit = wave[u];
+            const BatchUnit &unit = wave[u];
             const UnitResult &r = results[u];
             if (r.abandoned || unit.batch >= wall_fire[unit.member])
                 continue;
@@ -403,7 +397,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
     }
     const std::uint64_t deficit = budget - used;
     if (deficit > 0 && !full.empty()) {
-        std::vector<ResilientUnit> extra;
+        std::vector<BatchUnit> extra;
         const std::uint64_t base = deficit / full.size();
         const std::uint64_t rem = deficit % full.size();
         for (std::size_t i = 0; i < full.size(); ++i) {
@@ -413,8 +407,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                  done += config.shotBatch, ++b) {
                 const std::uint64_t batch_shots =
                     std::min(config.shotBatch, share - done);
-                extra.push_back(
-                    ResilientUnit{m, b, batch_shots, batch_shots});
+                extra.push_back(BatchUnit{m, b, batch_shots});
             }
         }
         std::vector<UnitResult> extra_results(extra.size());
@@ -475,6 +468,8 @@ EdmPipeline::EdmPipeline(const hw::Device &device, EdmConfig config)
                  "retryMax must be non-negative");
     QEDM_REQUIRE(config_.resilience.memberDeadlineMs >= 0.0,
                  "memberDeadlineMs must be non-negative");
+    QEDM_REQUIRE(config_.resilience.wallDeadlineMs >= 0.0,
+                 "wallDeadlineMs must be non-negative");
 }
 
 std::vector<std::uint64_t>
@@ -505,11 +500,6 @@ EdmResult
 EdmPipeline::run(const circuit::Circuit &logical,
                  const SeedSequence &seq) const
 {
-    std::optional<runtime::JobScheduler> owned;
-    const runtime::JobScheduler *scheduler = config_.scheduler;
-    if (scheduler == nullptr)
-        scheduler = &owned.emplace(config_.jobs);
-
     EnsembleConfig ensemble_config = config_.ensemble;
     ensemble_config.verifyPasses =
         ensemble_config.verifyPasses || config_.verifyPasses;
@@ -518,9 +508,9 @@ EdmPipeline::run(const circuit::Circuit &logical,
     // ensemble *expected to survive* still has the configured size.
     // Deliberate --fail-member injections are NOT over-provisioned —
     // they exist to watch a member fail and the survivors absorb its
-    // share; padding them away would defeat the experiment. The
-    // fault-free path leaves the config untouched (bit-identical).
-    if (config_.resilience.active())
+    // share; padding them away would defeat the experiment. Without
+    // fault sources the config stays untouched (bit-identical).
+    if (config_.resilience.faults.any())
         ensemble_config.expectedDropoutProb =
             config_.resilience.faults.dropoutProb;
     const EnsembleBuilder builder(device_, ensemble_config);
@@ -528,96 +518,31 @@ EdmPipeline::run(const circuit::Circuit &logical,
         builder.build(logical);
     QEDM_ASSERT(!programs.empty(), "ensemble builder returned nothing");
 
-    sim::Executor executor(device_);
-    executor.setSimBatch(config_.simBatch);
     const std::vector<std::uint64_t> splits =
         splitShots(config_.totalShots, programs.size());
-
-    // Tapes are immutable and shared across all batches of a member;
-    // building one is independent of the others, so members fan out
-    // over the scheduler into pre-assigned slots.
-    std::vector<std::shared_ptr<const sim::ExecutionTape>> tapes(
-        programs.size());
-    scheduler->parallelFor(programs.size(), [&](std::size_t m) {
-        tapes[m] =
-            config_.tapeCache != nullptr
-                ? config_.tapeCache->get(device_, programs[m].physical)
-                : std::make_shared<const sim::ExecutionTape>(
-                      sim::ExecutionTape::build(device_,
-                                                programs[m].physical));
-    });
+    std::vector<const circuit::Circuit *> physical;
+    std::vector<SeedSequence> roots;
+    for (std::size_t m = 0; m < programs.size(); ++m) {
+        physical.push_back(&programs[m].physical);
+        roots.push_back(seq.child(m));
+    }
+    UnitsOutcome out =
+        runShotUnits(device_, config_, config_.resilience,
+                     resilience::JournalStage::Members, physical, roots,
+                     seq.child(kStreamFaults), splits);
 
     EdmResult result;
-    std::vector<stats::Counts> member_counts;
-    std::vector<bool> kept_mask;
-    if (!config_.resilience.active()) {
-        // Fault-free fast path: fan (member, batch) units out over the
-        // scheduler. Each unit owns the RNG stream keyed by its
-        // coordinates and writes only its own slot, so the outcome is
-        // independent of scheduling order.
-        const std::vector<ShotUnit> units =
-            makeUnits(splits, config_.shotBatch);
-        std::vector<std::optional<stats::Counts>> unit_counts(
-            units.size());
-        scheduler->parallelFor(units.size(), [&](std::size_t u) {
-            const ShotUnit &unit = units[u];
-            const resilience::BatchKey key{
-                config_.journalRound, resilience::JournalStage::Members,
-                static_cast<std::uint32_t>(unit.member), unit.batch};
-            if (config_.replay != nullptr) {
-                const resilience::BatchRecord *rec =
-                    config_.replay->findBatch(key);
-                if (rec != nullptr) {
-                    QEDM_REQUIRE(rec->counts.has_value(),
-                                 "journal holds a lost batch for a "
-                                 "fault-free run");
-                    unit_counts[u] = rec->counts;
-                    return;
-                }
-            }
-            Rng unit_rng =
-                seq.child(unit.member).child(unit.batch).rng();
-            unit_counts[u] =
-                executor.run(*tapes[unit.member], unit.shots, unit_rng);
-            if (config_.journal != nullptr)
-                config_.journal->recordBatch(key,
-                                             {1, false, unit_counts[u]});
-        });
-
-        // Merge batches back per member in fixed (member, batch) order.
-        std::size_t u = 0;
-        for (std::size_t m = 0; m < programs.size(); ++m) {
-            QEDM_ASSERT(u < units.size() && units[u].member == m,
-                        "shot unit bookkeeping out of sync");
-            stats::Counts counts = std::move(*unit_counts[u]);
-            ++u;
-            while (u < units.size() && units[u].member == m) {
-                counts.merge(*unit_counts[u]);
-                ++u;
-            }
-            member_counts.push_back(std::move(counts));
-        }
-        kept_mask.assign(programs.size(), true);
-    } else {
-        ResilientOutcome out =
-            runResilient(device_, config_, programs, tapes, executor,
-                         splits, seq, *scheduler);
-        member_counts = std::move(out.counts);
-        kept_mask = std::move(out.kept);
-        result.degradation = std::move(out.report);
-    }
-
+    result.degradation = std::move(out.report);
     result.members.reserve(programs.size());
     for (std::size_t m = 0; m < programs.size(); ++m) {
         MemberResult member;
-        if (kept_mask[m]) {
-            member.shots = member_counts[m].total();
-            member.output = stats::Distribution::fromCounts(
-                member_counts[m]);
+        if (out.kept[m]) {
+            member.shots = out.counts[m].total();
+            member.output = stats::Distribution::fromCounts(out.counts[m]);
         } else {
             member.failed = true;
             member.output =
-                stats::Distribution::uniform(member_counts[m].width());
+                stats::Distribution::uniform(out.counts[m].width());
         }
         member.program = std::move(programs[m]);
         result.members.push_back(std::move(member));
@@ -683,46 +608,13 @@ EdmPipeline::runSingle(const transpile::CompiledProgram &program,
                        const SeedSequence &seq,
                        resilience::JournalStage stage) const
 {
-    sim::Executor executor(device_);
-    executor.setSimBatch(config_.simBatch);
-    const std::shared_ptr<const sim::ExecutionTape> tape =
-        config_.tapeCache != nullptr
-            ? config_.tapeCache->get(device_, program.physical)
-            : std::make_shared<const sim::ExecutionTape>(
-                  sim::ExecutionTape::build(device_, program.physical));
-
-    const std::vector<ShotUnit> units =
-        makeUnits({config_.totalShots}, config_.shotBatch);
-    std::vector<std::optional<stats::Counts>> unit_counts(units.size());
-
-    std::optional<runtime::JobScheduler> owned;
-    const runtime::JobScheduler *scheduler = config_.scheduler;
-    if (scheduler == nullptr)
-        scheduler = &owned.emplace(config_.jobs);
-    scheduler->parallelFor(units.size(), [&](std::size_t u) {
-        const resilience::BatchKey key{config_.journalRound, stage, 0,
-                                       units[u].batch};
-        if (config_.replay != nullptr) {
-            const resilience::BatchRecord *rec =
-                config_.replay->findBatch(key);
-            if (rec != nullptr) {
-                QEDM_REQUIRE(rec->counts.has_value(),
-                             "journal holds a lost batch for a "
-                             "baseline run");
-                unit_counts[u] = rec->counts;
-                return;
-            }
-        }
-        Rng unit_rng = seq.child(units[u].batch).rng();
-        unit_counts[u] = executor.run(*tape, units[u].shots, unit_rng);
-        if (config_.journal != nullptr)
-            config_.journal->recordBatch(key, {1, false, unit_counts[u]});
-    });
-
-    stats::Counts counts = std::move(*unit_counts.front());
-    for (std::size_t u = 1; u < unit_counts.size(); ++u)
-        counts.merge(*unit_counts[u]);
-    return stats::Distribution::fromCounts(counts);
+    // A baseline is one member holding the whole budget, with no
+    // faults and no watchdog: only the ensemble is fault-injected.
+    const UnitsOutcome out = runShotUnits(
+        device_, config_, resilience::ResilienceConfig{}, stage,
+        {&program.physical}, {seq}, seq.child(kStreamFaults),
+        {config_.totalShots});
+    return stats::Distribution::fromCounts(out.counts.front());
 }
 
 stats::Distribution

@@ -101,9 +101,10 @@ struct EdmConfig
     bool verifyPasses = check::kDefaultVerify;
     /**
      * Fault injection + graceful degradation (all-off by default).
-     * When inactive the pipeline compiles down to the original
-     * execution path: no injector, retry, or deadline bookkeeping
-     * exists on the hot path.
+     * Ensemble members, faulted or not, and the baselines of
+     * runSingle share one shot-unit runner; all-off, it runs every
+     * batch once and the degradation report stays empty. Baselines
+     * always run with this all-off.
      */
     resilience::ResilienceConfig resilience;
     /**

@@ -13,9 +13,10 @@
  * and the full deterministic fault log — and is threaded up through
  * EdmResult / ExperimentSummary to the CLI.
  *
- * Everything here is bookkeeping: when ResilienceConfig::active() is
- * false the pipeline takes its original code path, with no injector,
- * no retry state, and no per-unit bookkeeping allocated at all.
+ * Everything here is bookkeeping on the pipeline's one shot-unit
+ * runner: every run, faulted or not, goes through it, and with no
+ * fault source, deadline or watchdog it runs each batch once, loses
+ * nothing and reports an empty DegradationReport.
  */
 
 #pragma once
@@ -87,15 +88,15 @@ struct ResilienceConfig
     std::vector<WallAbandon> forcedWallAbandons;
 
     /**
-     * True when the resilient execution path must run. Faults are the
-     * only simulated failure source, but the wall watchdog and forced
-     * wall abandons also require per-unit bookkeeping, so any of the
-     * three routes execution through the resilient path.
+     * True when a run can degrade: a fault source, the virtual member
+     * deadline, the wall watchdog or a forced wall abandon is set.
+     * Callers use it to decide whether to print or expect a
+     * degradation report; execution takes the same path either way.
      */
     bool active() const
     {
-        return faults.any() || wallDeadlineMs > 0.0 ||
-               !forcedWallAbandons.empty();
+        return faults.any() || memberDeadlineMs > 0.0 ||
+               wallDeadlineMs > 0.0 || !forcedWallAbandons.empty();
     }
 
     /** The effective time source (injected or real). */

@@ -40,18 +40,14 @@ namespace {
 constexpr std::size_t kFoldChunk = std::size_t(1) << 14;
 
 /**
- * The trajectory loop, templated on the per-trial continuation gate so
- * the gate-free overload compiles to exactly the unhooked loop (the
- * fault hook costs nothing unless a gate is passed).
- *
- * Every unitary factor comes pre-materialized from the tape: the shot
- * loop applies stored matrices (with the StateVector's structured-
- * matrix fast paths) and never re-derives a gate matrix.
+ * The scalar trajectory loop. Every unitary factor comes
+ * pre-materialized from the tape: the shot loop applies stored
+ * matrices (with the StateVector's structured-matrix fast paths) and
+ * never re-derives a gate matrix.
  */
-template <typename Gate>
 stats::Counts
 runShots(const hw::Calibration &cal, const ExecutionTape &tape,
-         std::uint64_t shots, Rng &rng, const Gate &gate)
+         std::uint64_t shots, Rng &rng)
 {
     stats::Counts counts(tape.numClbits);
     std::vector<Outcome> outcomes;
@@ -115,8 +111,6 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
     }
 
     for (std::uint64_t shot = 0; shot < shots; ++shot) {
-        if (!gate(shot))
-            break;
         std::size_t basis;
         if (deterministic) {
             basis = born.sample(rng);
@@ -339,23 +333,15 @@ runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
     return counts;
 }
 
-/**
- * Exact-law sampling: one uniform per trial, one guided draw from the
- * tape's law, with the continuation gate consulted before each trial
- * exactly as the trajectory loop does — so a gated run cut at trial L
- * equals an ungated run of L trials on the same stream.
- */
-template <typename Gate>
+/** Exact-law sampling: one uniform per trial, one guided draw from
+ *  the tape's law, so a run of L trials draws exactly the first L
+ *  uniforms of any longer run on the same stream. */
 stats::Counts
-sampleLaw(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
-          const Gate &gate)
+sampleLaw(const ExecutionTape &tape, std::uint64_t shots, Rng &rng)
 {
     std::vector<std::uint64_t> tally(tape.law.size(), 0);
-    for (std::uint64_t trial = 0; trial < shots; ++trial) {
-        if (!gate(trial))
-            break;
+    for (std::uint64_t trial = 0; trial < shots; ++trial)
         ++tally[tape.law.sample(rng)];
-    }
     stats::Counts counts(tape.numClbits);
     for (std::size_t o = 0; o < tally.size(); ++o) {
         if (tally[o] > 0)
@@ -372,20 +358,8 @@ Executor::run(const ExecutionTape &tape, std::uint64_t shots,
 {
     QEDM_REQUIRE(shots > 0, "shots must be positive");
     if (tape.hasLaw())
-        return sampleLaw(tape, shots, rng,
-                         [](std::uint64_t) { return true; });
+        return sampleLaw(tape, shots, rng);
     return runTrajectories(tape, shots, rng);
-}
-
-stats::Counts
-Executor::run(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
-              const TrialGate &gate) const
-{
-    QEDM_REQUIRE(shots > 0, "shots must be positive");
-    QEDM_REQUIRE(gate != nullptr, "trial gate must be callable");
-    if (tape.hasLaw())
-        return sampleLaw(tape, shots, rng, gate);
-    return runTrajectories(tape, shots, rng, gate);
 }
 
 stats::Counts
@@ -397,17 +371,7 @@ Executor::runTrajectories(const ExecutionTape &tape, std::uint64_t shots,
         return runShotsBatched(device_.calibration(), tape, shots,
                                rng, simBatch_);
     }
-    return runShots(device_.calibration(), tape, shots, rng,
-                    [](std::uint64_t) { return true; });
-}
-
-stats::Counts
-Executor::runTrajectories(const ExecutionTape &tape, std::uint64_t shots,
-                          Rng &rng, const TrialGate &gate) const
-{
-    QEDM_REQUIRE(shots > 0, "shots must be positive");
-    QEDM_REQUIRE(gate != nullptr, "trial gate must be callable");
-    return runShots(device_.calibration(), tape, shots, rng, gate);
+    return runShots(device_.calibration(), tape, shots, rng);
 }
 
 stats::Distribution

@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
@@ -77,7 +76,10 @@ class Executor
      * its exact law (ExecutionTape::hasLaw) draws each trial with one
      * uniform and a guide-table lookup into the cumulative law
      * (LawSampler, the index a binary search would return); any other
-     * tape runs on runTrajectories().
+     * tape runs on runTrajectories(). Both engines draw trial by
+     * trial, so a run of L trials equals the first L trials of any
+     * longer run on the same stream: a shot batch cut short by a
+     * qubit dropout is simply a shorter run.
      */
     stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
                       Rng &rng) const;
@@ -105,26 +107,6 @@ class Executor
     static constexpr std::size_t kDefaultSimBatch = 64;
     void setSimBatch(std::size_t width) { simBatch_ = width; }
     std::size_t simBatch() const { return simBatch_; }
-
-    /**
-     * Per-trial continuation gate — the resilience layer's fault
-     * hook. The gate is invoked with the 0-based index of the next
-     * trial before it executes; returning false aborts the remaining
-     * trials and the counts of the completed ones are returned (the
-     * "machine died mid-run" semantics qubit-dropout faults need).
-     * The gate-free overloads never touch this path, so execution is
-     * zero-cost when no faults are injected.
-     */
-    using TrialGate = std::function<bool(std::uint64_t)>;
-
-    /** run() with a fault-injection gate deciding trial continuation. */
-    stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
-                      Rng &rng, const TrialGate &gate) const;
-
-    /** runTrajectories() with a trial continuation gate. */
-    stats::Counts runTrajectories(const ExecutionTape &tape,
-                                  std::uint64_t shots, Rng &rng,
-                                  const TrialGate &gate) const;
 
     /**
      * Exact output distribution over the classical register via

@@ -14,8 +14,6 @@
  *    p >= 1e-6), and the trajectory histogram sits within
  *    4 * E[TV] of the law, E[TV] = 1/2 sum_o sqrt(2 p_o (1 - p_o) /
  *    (pi N)). Both bounds follow from N and the law alone;
- *  - a TrialGate stopping at trial L returns exactly L trials,
- *    identical to an ungated run of L trials on the same seed.
  *
  * The sparse support (untouched and dephased qubits) is held to the
  * same reference on the tape shapes it special-cases, and its sweep
@@ -437,18 +435,6 @@ checkDevice(const hw::Device &device, const benchmarks::Benchmark &bench,
         EXPECT_LE(stats::totalVariation(
                       stats::Distribution::fromCounts(traj), law),
                   4.0 * expectedTv(law, n));
-
-        // A gate stopping at trial L is an ungated run of L trials.
-        const std::uint64_t limit = n / 3;
-        Rng gated_rng = node.child(2).rng();
-        Rng short_rng = node.child(2).rng();
-        const stats::Counts gated =
-            exec.run(tape, n, gated_rng, [limit](std::uint64_t trial) {
-                return trial < limit;
-            });
-        const stats::Counts ungated = exec.run(tape, limit, short_rng);
-        EXPECT_EQ(gated.total(), limit);
-        EXPECT_EQ(gated.entries(), ungated.entries());
     }
 }
 
@@ -884,7 +870,6 @@ TEST(LawSampler, ExecutorCountsMatchBinarySearch)
     const core::EnsembleBuilder builder(device);
     const sim::Executor exec(device);
     constexpr std::uint64_t kShots = 16384;
-    constexpr std::uint64_t kLimit = kShots / 3;
     std::uint64_t seed = 1;
     for (const std::string &name : kTable1) {
         const auto members = builder.build(benchmarks::byName(name).circuit);
@@ -903,18 +888,6 @@ TEST(LawSampler, ExecutorCountsMatchBinarySearch)
                                          ref_rng)
                           .entries());
             EXPECT_EQ(run_rng(), ref_rng());
-
-            Rng gated_rng(seed);
-            Rng short_rng(seed);
-            EXPECT_EQ(exec.run(tape, kShots, gated_rng,
-                               [](std::uint64_t trial) {
-                                   return trial < kLimit;
-                               })
-                          .entries(),
-                      binarySearchCounts(cum, tape.numClbits, kLimit,
-                                         short_rng)
-                          .entries());
-            EXPECT_EQ(gated_rng(), short_rng());
         }
     }
 }

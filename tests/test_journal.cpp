@@ -594,6 +594,56 @@ TEST(JournalTest, ResumeTruncatesTornTailAndAppends)
     std::remove(path.c_str());
 }
 
+TEST(JournalTest, LostBatchIsRefusedWhereNoBatchCanBeLost)
+{
+    // A checksummed batch record without counts is what an exhausted
+    // retry journals. Only transient faults exhaust retries, so a
+    // fault-free ensemble or a baseline resuming from one must refuse
+    // it instead of silently merging nothing.
+    const std::string path = tmpPath("lost_batch.bin");
+    { Journal::create(path, someFingerprint()); }
+    const auto lostBatch = [](JournalStage stage) {
+        Bytes b;
+        b.u32(0).u8(static_cast<std::uint8_t>(stage)).u32(0).u64(0);
+        b.u32(3).u8(1); // attempts, exhausted
+        b.u8(0);        // no counts
+        return b.b;
+    };
+    appendFrame(path, kBatchRecord, lostBatch(JournalStage::Members));
+    appendFrame(path, kBatchRecord, lostBatch(JournalStage::BaselineEst));
+    const JournalReplay replay = JournalReplay::load(path);
+    ASSERT_EQ(replay.batchCount(), 2u);
+
+    const hw::Device device = hw::Device::melbourne(kSeed);
+    const auto program =
+        core::EnsembleBuilder(device).build(benchmarks::bv6().circuit)
+            .front();
+    EdmConfig config;
+    config.totalShots = 4096;
+    config.replay = &replay;
+    const EdmPipeline fault_free(device, config);
+    EXPECT_THROW(fault_free.run(benchmarks::bv6().circuit,
+                                SeedSequence(kSeed)),
+                 UserError);
+    EXPECT_THROW(fault_free.runSingle(program, SeedSequence(kSeed),
+                                      JournalStage::BaselineEst),
+                 UserError);
+
+    // With transient faults on, the same record is a legitimate loss.
+    config.resilience.faults.transientProb = 1e-9;
+    const EdmPipeline faulted(device, config);
+    const EdmResult result =
+        faulted.run(benchmarks::bv6().circuit, SeedSequence(kSeed));
+    ASSERT_FALSE(result.degradation.faults.empty());
+    bool exhausted = false;
+    for (const resilience::FaultEvent &e : result.degradation.faults) {
+        exhausted |= e.kind == resilience::FaultKind::RetryExhausted &&
+                     e.member == 0 && e.batch == 0;
+    }
+    EXPECT_TRUE(exhausted);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Experiment integration: crash resume is bit-identical at any jobs.
 

@@ -26,9 +26,11 @@
 #include <complex>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
+#include "common/hash.hpp"
 #include "core/edm.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
@@ -443,6 +445,122 @@ TEST_P(GoldenPipeline, EdmWedmBv6FixedSeedBitIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, GoldenPipeline, ::testing::Values(1, 4));
+
+// ---------------------------------------------------------------------
+// Golden faulted pipeline: fixed-seed bits of two degraded runs.
+// ---------------------------------------------------------------------
+
+// Both runs cut a batch short at a qubit dropout, one on exact laws and
+// one on the trajectory engine, so the pins hold a cut batch to the
+// first trials of its full stream on both engines, at every jobs value.
+
+/** What a faulted run is pinned to: the EDM and WEDM bits, the trials
+ *  each member merged, and the degradation report, fault log and all. */
+struct FaultedGolden
+{
+    std::uint64_t edmBits;
+    std::uint64_t wedmBits;
+    std::vector<std::uint64_t> memberShots;
+    std::string report;
+};
+
+void
+expectFaultedGolden(const core::EdmResult &result,
+                    const FaultedGolden &golden)
+{
+    EXPECT_EQ(Fingerprint().addRange(result.edm.probabilities()).value(),
+              golden.edmBits);
+    EXPECT_EQ(Fingerprint().addRange(result.wedm.probabilities()).value(),
+              golden.wedmBits);
+    std::vector<std::uint64_t> shots;
+    for (const core::MemberResult &member : result.members)
+        shots.push_back(member.shots);
+    EXPECT_EQ(shots, golden.memberShots);
+    EXPECT_EQ(result.degradation.toString(), golden.report);
+}
+
+class GoldenFaultedPipeline : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(GoldenFaultedPipeline, Bv6DropoutTransientStaleness)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    core::EdmConfig config;
+    config.totalShots = 8192;
+    config.shotBatch = 512;
+    config.jobs = GetParam();
+    config.resilience.faults.dropoutProb = 0.5;
+    config.resilience.faults.transientProb = 0.2;
+    config.resilience.faults.stalenessProb = 0.5;
+    const core::EdmPipeline pipeline(device, config);
+    Rng rng(2026);
+    const auto result = pipeline.run(benchmarks::bv6().circuit, rng);
+
+    // The pin must cover a dropout that cuts a batch short.
+    bool mid_batch = false;
+    for (const auto &deg : result.degradation.members) {
+        mid_batch |= deg.cause == resilience::FaultKind::QubitDropout &&
+                     deg.completedShots % config.shotBatch != 0;
+    }
+    EXPECT_TRUE(mid_batch);
+    expectFaultedGolden(
+        result,
+        {0x946226eecbac764dull,
+         0xb5db9bf701b62a8dull,
+         {690, 1885, 988, 1885, 29, 1884, 827, 4},
+         "resilience: 5 member(s) degraded, 0 trial(s) lost, "
+         "2582 reassigned, 6 retries\n"
+         "  member 0: qubit-dropout after 690/1024 trials (kept partial)\n"
+         "  member 2: qubit-dropout after 988/1024 trials (kept partial)\n"
+         "  member 4: qubit-dropout after 29/1024 trials (kept partial, "
+         "1 retries)\n"
+         "  member 6: qubit-dropout after 827/1024 trials (kept partial)\n"
+         "  member 7: qubit-dropout after 4/1024 trials (kept partial, "
+         "2 retries)\n"
+         "  fault log: [calibration-staleness m0] [qubit-dropout m0 b1] "
+         "[qubit-dropout m2 b1] [calibration-staleness m4] "
+         "[qubit-dropout m4 b0] [calibration-staleness m5] "
+         "[qubit-dropout m6 b1] [qubit-dropout m7 b0] "
+         "[transient-trial-failure m1 b0 a0] "
+         "[transient-trial-failure m3 b0 a0] "
+         "[transient-trial-failure m4 b0 a0] "
+         "[transient-trial-failure m7 b0 a0] "
+         "[transient-trial-failure m7 b0 a1] "
+         "[transient-trial-failure m3 b3 a0]\n"});
+}
+
+TEST_P(GoldenFaultedPipeline, TrajectoryBvForcedDropout)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    // An 8-bit key: 9 active qubits, so every member runs trajectories.
+    const auto bench = benchmarks::bernsteinVazirani("10110101");
+    core::EdmConfig config;
+    config.totalShots = 2048;
+    config.shotBatch = 256;
+    config.jobs = GetParam();
+    config.resilience.faults.forcedDropouts = {1};
+    const core::EdmPipeline pipeline(device, config);
+    Rng rng(2026);
+    const auto result = pipeline.run(bench.circuit, rng);
+
+    ASSERT_FALSE(result.members.empty());
+    EXPECT_FALSE(sim::ExecutionTape::build(
+                     device, result.members.front().program.physical)
+                     .hasLaw());
+    expectFaultedGolden(
+        result,
+        {0x2d01126e060aef9bull,
+         0xf479c4831fd10dcaull,
+         {634, 147, 634, 633},
+         "resilience: 1 member(s) degraded, 0 trial(s) lost, "
+         "365 reassigned, 0 retries\n"
+         "  member 1: qubit-dropout after 147/512 trials (kept partial)\n"
+         "  fault log: [qubit-dropout m1 b0]\n"});
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, GoldenFaultedPipeline,
+                         ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------
 // Trajectory vs exact density matrix on deterministic tapes.

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -26,8 +27,6 @@
 #include "runtime/clock.hpp"
 #include "runtime/retry.hpp"
 #include "runtime/watchdog.hpp"
-#include "sim/execution_tape.hpp"
-#include "sim/executor.hpp"
 
 namespace qedm {
 namespace {
@@ -340,42 +339,6 @@ TEST(FaultInjectorTest, RejectsInvalidConfig)
 }
 
 // ---------------------------------------------------------------------
-// Executor trial gate (the mid-batch dropout hook).
-
-TEST(ExecutorGateTest, GateTruncatesTrialCount)
-{
-    const hw::Device device = hw::Device::melbourne(2);
-    const auto program =
-        core::EnsembleBuilder(device).build(benchmarks::bv6().circuit)
-            .front();
-    const auto tape = sim::ExecutionTape::build(device, program.physical);
-    const sim::Executor executor(device);
-    const auto stop = [](std::uint64_t trial) { return trial < 5; };
-    Rng rng(9);
-    EXPECT_EQ(executor.run(tape, 100, rng, stop).total(), 5u);
-    EXPECT_EQ(executor.runTrajectories(tape, 100, rng, stop).total(), 5u);
-}
-
-TEST(ExecutorGateTest, AlwaysTrueGateMatchesGateFreePath)
-{
-    const hw::Device device = hw::Device::melbourne(2);
-    const auto program =
-        core::EnsembleBuilder(device).build(benchmarks::bv6().circuit)
-            .front();
-    const auto tape = sim::ExecutionTape::build(device, program.physical);
-    const sim::Executor executor(device);
-    const auto always = [](std::uint64_t) { return true; };
-    Rng a(9), b(9);
-    EXPECT_EQ(executor.run(tape, 64, a).entries(),
-              executor.run(tape, 64, b, always).entries());
-    // The trajectory engine too: the gate-free call runs batched, the
-    // gated one the scalar loop, bit-identical by the §12 contract.
-    Rng c(9), d(9);
-    EXPECT_EQ(executor.runTrajectories(tape, 64, c).entries(),
-              executor.runTrajectories(tape, 64, d, always).entries());
-}
-
-// ---------------------------------------------------------------------
 // Staleness perturbation.
 
 TEST(StalenessTest, StaleJumpIsPessimisticAndDeterministic)
@@ -425,7 +388,8 @@ TEST(ResilientPipelineTest, FaultedRunBitIdenticalAcrossJobs)
 
 TEST(ResilientPipelineTest, DisabledFaultsMatchOriginalPath)
 {
-    // resilience inactive -> bit-identical to a config-free run.
+    // All-off resilience: nothing degrades and every member runs its
+    // full share, bit-identically at any jobs.
     const EdmResult plain = runFaulted(ResilienceConfig{}, 1);
     const EdmResult threaded = runFaulted(ResilienceConfig{}, 4);
     EXPECT_FALSE(plain.degradation.degraded());
@@ -544,6 +508,40 @@ TEST(ResilientPipelineTest, DeadlineAbandonsSlowMembers)
     }
     EXPECT_EQ(result.degradation.trialsLost, 4u * 512u);
     EXPECT_EQ(result.degradation.trialsReassigned, 0u);
+}
+
+TEST(ResilientPipelineTest, DeadlineAppliesWithoutFaultSources)
+{
+    // No fault source at all: each 512-shot batch still costs 5.12
+    // virtual ms, so a 6 ms deadline admits only the first of every
+    // member's two batches.
+    ResilienceConfig resilience;
+    resilience.memberDeadlineMs = 6.0;
+    EXPECT_TRUE(resilience.active());
+
+    const EdmResult result = runFaulted(resilience, 2);
+    ASSERT_EQ(result.members.size(), 4u);
+    ASSERT_EQ(result.degradation.members.size(), 4u);
+    for (const auto &deg : result.degradation.members) {
+        EXPECT_EQ(deg.cause, FaultKind::DeadlineAbandoned);
+        EXPECT_TRUE(deg.kept);
+        EXPECT_EQ(deg.completedShots, 512u);
+    }
+    EXPECT_EQ(result.degradation.trialsLost, 4u * 512u);
+}
+
+TEST(ResilientPipelineTest, RejectsNegativeOrNanDeadlines)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    for (const double bad :
+         {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        EdmConfig member;
+        member.resilience.memberDeadlineMs = bad;
+        EXPECT_THROW(EdmPipeline(device, member), UserError);
+        EdmConfig wall;
+        wall.resilience.wallDeadlineMs = bad;
+        EXPECT_THROW(EdmPipeline(device, wall), UserError);
+    }
 }
 
 TEST(ResilientPipelineTest, RetryExhaustionAppearsInReport)

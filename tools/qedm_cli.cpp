@@ -72,6 +72,7 @@
  * corrupt or mismatched journal).
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -198,13 +199,15 @@ cmdCandidates(const std::string &name, std::uint64_t seed, bool verify,
     return 0;
 }
 
-/** Parse one double with a clear error naming the offending flag. */
+/** Parse one finite, non-negative double with a clear error naming
+ *  the offending flag (`nan` and `inf` are refused, not defaulted). */
 double
 parseDouble(const std::string &flag, const std::string &value)
 {
     char *end = nullptr;
     const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || parsed < 0.0)
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed) ||
+        parsed < 0.0)
         throw UserError(flag + " expects a non-negative number, got `" +
                         value + "`");
     return parsed;
