@@ -60,11 +60,39 @@ Benchmark bv7();
 Benchmark greycode();
 
 /**
- * Single-layer QAOA for max-cut on an n-node path graph (the paper's
- * SWAP-free QAOA instances), with a small symmetry-breaking field on
- * node 0 so the alternating cut starting with '1' is the unique
- * most-likely output. Angles are tuned by a coarse grid search at
- * construction. @p n in [3, 8].
+ * One point of the QAOA angle grid: gamma = 0.1 * gammaStep,
+ * beta = 0.1 * betaStep, and a symmetry-breaking field of
+ * fieldSign * gamma.
+ */
+struct QaoaGridPoint
+{
+    int gammaStep = 0;
+    int betaStep = 0;
+    /** -1 or +1. */
+    int fieldSign = 0;
+};
+
+/**
+ * Single-layer QAOA for max-cut on an n-node path graph: H on every
+ * node, a CX-Rz(2 gamma)-CX phase separator per edge, a field
+ * Rz(fieldSign * gamma) on the top node n - 1, then Rx(2 beta) on every
+ * node and a full measurement.
+ */
+circuit::Circuit qaoaPathCircuit(int n, const QaoaGridPoint &angles);
+
+/**
+ * The pinned angles of qaoaMaxcutPath(@p n), @p n in [3, 8]: the grid
+ * point, among 15 gamma x 15 beta x 2 field signs, that makes the
+ * alternating cut the unique ideal mode with the highest probability.
+ */
+QaoaGridPoint qaoaPathAngles(int n);
+
+/**
+ * The paper's SWAP-free QAOA max-cut instance on an n-node path:
+ * qaoaPathCircuit() at qaoaPathAngles(@p n). The top-node field
+ * breaks the symmetry between the two optimal cuts, so the
+ * alternating cut with node n - 1 in partition '1' is the unique
+ * most-likely output. @p n in [3, 8].
  */
 Benchmark qaoaMaxcutPath(int n);
 

@@ -502,6 +502,16 @@ TEST(Graph, AllowedEdgeIsNotFlagged)
     EXPECT_EQ(countRule(report.findings, "layering"), 0);
 }
 
+TEST(Graph, BenchmarksMayNotIncludeSim)
+{
+    // Benchmark construction is pure circuit building; no simulation.
+    const qa::Report report = qa::analyzeSources(
+        {{"src/benchmarks/a.cpp", "#include \"sim/executor.hpp\"\n"},
+         {"src/sim/executor.hpp", "#pragma once\nint x;\n"}},
+        nullptr, 1);
+    EXPECT_EQ(countRule(report.findings, "layering"), 1);
+}
+
 TEST(Graph, IncludeCycleIsFlagged)
 {
     const qa::Report report = qa::analyzeSources(

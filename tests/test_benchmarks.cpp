@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "benchmarks/benchmarks.hpp"
 #include "common/error.hpp"
 #include "sim/executor.hpp"
@@ -206,6 +209,60 @@ TEST_P(QaoaModeTest, ExpectedCutDominatesButNotCertain)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, QaoaModeTest,
                          ::testing::Values(3, 4, 5, 6, 7, 8));
+
+// The pinned QAOA angles are what a coarse grid search over 15 gamma
+// x 15 beta x 2 field signs picks: the point that makes the
+// alternating cut the unique ideal mode with the highest probability,
+// the first one found on ties.
+QaoaGridPoint
+searchQaoaAngles(int n)
+{
+    const Outcome expected = qaoaMaxcutPath(n).expected;
+    double best_p = -1.0;
+    QaoaGridPoint best;
+    for (int gi = 1; gi <= 15; ++gi) {
+        for (int bi = 1; bi <= 15; ++bi) {
+            for (const int sign : {-1, 1}) {
+                const QaoaGridPoint point{gi, bi, sign};
+                const auto dist =
+                    sim::idealDistribution(qaoaPathCircuit(n, point));
+                if (dist.mode() != expected)
+                    continue;
+                const double p = dist.prob(expected);
+                if (p > best_p) {
+                    best_p = p;
+                    best = point;
+                }
+            }
+        }
+    }
+    EXPECT_GT(best_p, 0.0) << "no grid point has the cut as its mode";
+    return best;
+}
+
+TEST(QaoaAngles, TableMatchesGridSearch)
+{
+    // Fingerprints of the circuits the search picks for n = 3..8. A
+    // change to qaoaPathCircuit() moves the table's circuit and the
+    // searched one together; these constants catch it.
+    const std::uint64_t pinned[] = {
+        0x890c12fdc5226305ull, 0xeeacdb73601952ccull,
+        0x247afc62ce382caaull, 0x8ba775d8628c435dull,
+        0xfe65d8845f1a097cull, 0x7995e87b04502828ull,
+    };
+    for (int n = 3; n <= 8; ++n) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const QaoaGridPoint searched = searchQaoaAngles(n);
+        const QaoaGridPoint table = qaoaPathAngles(n);
+        EXPECT_EQ(table.gammaStep, searched.gammaStep);
+        EXPECT_EQ(table.betaStep, searched.betaStep);
+        EXPECT_EQ(table.fieldSign, searched.fieldSign);
+
+        const std::uint64_t fp = qaoaMaxcutPath(n).circuit.fingerprint();
+        EXPECT_EQ(fp, qaoaPathCircuit(n, searched).fingerprint());
+        EXPECT_EQ(fp, pinned[n - 3]);
+    }
+}
 
 } // namespace
 } // namespace qedm::benchmarks

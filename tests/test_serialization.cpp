@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for device serialization, the IST bootstrap interval,
- * and the crosstalk-exposure metric.
+ * Unit tests for device serialization and the IST bootstrap interval.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "hw/serialization.hpp"
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
-#include "transpile/crosstalk.hpp"
 
 namespace qedm {
 namespace {
@@ -139,40 +137,6 @@ TEST(IstBootstrap, Validates)
     EXPECT_THROW(
         stats::istConfidenceInterval(counts, 0, rng, 100, 1.5),
         UserError);
-}
-
-TEST(CrosstalkExposure, CountsOnlyActiveSpectators)
-{
-    const hw::Device device = hw::Device::melbourne(7);
-    // Single CX on edge (2, 3): spectators exist but none active.
-    circuit::Circuit lonely(14, 1);
-    lonely.cx(2, 3).measure(2, 0);
-    const auto none = transpile::crosstalkExposure(lonely, device);
-    EXPECT_EQ(none.spectatorEvents, 0);
-    EXPECT_EQ(none.totalKickRad, 0.0);
-
-    // Same CX with a neighbor in play: exposure appears (assuming the
-    // sampled model has terms on that edge, which melbourne(7) does).
-    circuit::Circuit busy(14, 1);
-    busy.h(1).cx(2, 3).measure(2, 0);
-    const auto some = transpile::crosstalkExposure(busy, device);
-    EXPECT_GE(some.spectatorEvents, 0);
-    EXPECT_GE(some.totalKickRad, none.totalKickRad);
-}
-
-TEST(CrosstalkExposure, GrowsWithCircuitSize)
-{
-    const hw::Device device = hw::Device::melbourne(7);
-    const core::EnsembleBuilder builder(device);
-    const auto small =
-        builder.candidates(benchmarks::greycode().circuit).front();
-    const auto big =
-        builder.candidates(benchmarks::decoder24().circuit).front();
-    const auto e_small =
-        transpile::crosstalkExposure(small.physical, device);
-    const auto e_big =
-        transpile::crosstalkExposure(big.physical, device);
-    EXPECT_GT(e_big.spectatorEvents, e_small.spectatorEvents);
 }
 
 } // namespace

@@ -34,7 +34,7 @@ allowedDeps()
         // transpile uses runtime for the injectable wall clock that
         // times its passes (runtime/clock.hpp).
         {"transpile", {"common", "circuit", "hw", "check", "runtime"}},
-        {"benchmarks", {"common", "circuit", "sim"}},
+        {"benchmarks", {"common", "circuit"}},
         {"core",
          {"common", "stats", "circuit", "hw", "check", "sim",
           "transpile", "benchmarks", "resilience", "runtime"}},
