@@ -416,8 +416,8 @@ runSimKernelSweep()
                                 20, 3));
     }
 
-    // Trajectory shot loops on a prebuilt compiled-bv-6 tape (the lane
-    // kernels registers above sim::kExactLawMaxQubits run on), and the
+    // The trajectory shot loop on a prebuilt compiled-bv-6 tape (the
+    // engine registers above sim::kExactLawMaxQubits run on), and the
     // fused density-matrix law smaller registers sample from.
     {
         const hw::Device device = hw::Device::melbourne(2);
@@ -460,24 +460,6 @@ runSimKernelSweep()
                          exec.run(tape_bv7, 16384, rng));
                  },
                  50));
-        // Batched-engine width sweep (BM_BatchedShotsBv6): the same
-        // noisy shot loop at explicit SoA lane widths, so the guard
-        // catches a regression that only hits one batching regime
-        // (B=1 exercises the per-batch overhead, 256 the width cap).
-        for (const std::size_t width : {std::size_t(1),
-                                        std::size_t(16),
-                                        std::size_t(64),
-                                        std::size_t(256)}) {
-            sim::Executor batched(device);
-            batched.setSimBatch(width);
-            emit("batched_shots_bv6_1024_b" + std::to_string(width),
-                 timeBestNs(
-                     [&] {
-                         benchmark::DoNotOptimize(
-                             batched.runTrajectories(tape, 1024, rng));
-                     },
-                     5));
-        }
     }
     {
         // Coherent-only device: the tape is deterministic, so this

@@ -108,8 +108,7 @@ runShotUnits(const hw::Device &device, const EdmConfig &config,
     const runtime::JobScheduler &scheduler =
         config.scheduler != nullptr ? *config.scheduler
                                     : owned.emplace(config.jobs);
-    sim::Executor executor(device);
-    executor.setSimBatch(config.simBatch);
+    const sim::Executor executor(device);
     const resilience::FaultInjector injector(res.faults, fault_root);
 
     // Tapes are immutable and shared across all batches of a member;
@@ -137,7 +136,6 @@ runShotUnits(const hw::Device &device, const EdmConfig &config,
             tapes[m] = std::make_shared<const sim::ExecutionTape>(
                 sim::ExecutionTape::build(stale, *physical[m]));
             stale_execs[m].emplace(stale);
-            stale_execs[m]->setSimBatch(config.simBatch);
         }
     }
     const auto executorFor = [&](std::size_t m) -> const sim::Executor & {

@@ -79,17 +79,6 @@ struct EdmConfig
      * jobs value; changing shotBatch changes which streams are drawn.
      */
     std::uint64_t shotBatch = 2048;
-    /**
-     * Trajectory-engine lane width: shots per SoA batch inside the
-     * simulator (sim::Executor::setSimBatch). 0 = scalar per-shot
-     * path, 1+ = batched. Only members above sim::kExactLawMaxQubits
-     * active qubits run trajectories; smaller ones sample their exact
-     * law and never read it. NOT part of the result's identity —
-     * every width replays the §12 draw-order contract bit-identically;
-     * this only tunes throughput (the executor clamps to an
-     * L1-friendly width internally).
-     */
-    std::size_t simBatch = sim::Executor::kDefaultSimBatch;
     /** Optional shared tape cache (not owned; must outlive run()). */
     sim::TapeCache *tapeCache = nullptr;
     /**

@@ -80,9 +80,9 @@ experimentFingerprint(const hw::Device &device,
     // Everything that shapes the summary goes in — including the
     // shot sampler's stream contract, so a journal recorded by another
     // sampler is refused rather than mixed into this run; operational
-    // knobs (jobs, simBatch, wallDeadlineMs, backoff pacing)
-    // deliberately stay out so a journal can be resumed under
-    // different machine conditions.
+    // knobs (jobs, wallDeadlineMs, backoff pacing) deliberately stay
+    // out so a journal can be resumed under different machine
+    // conditions.
     Fingerprint fp(0x4a4f55524e414cull); // "JOURNAL"
     fp.add(sim::kSamplerVersion);
     fp.add(std::string_view(benchmark.name));
@@ -154,7 +154,6 @@ runExperiment(const hw::Device &device,
     edm_config.ensemble.region = config.region;
     edm_config.totalShots = config.totalShots;
     edm_config.uniformityGuard = config.uniformityGuard;
-    edm_config.simBatch = config.simBatch;
     edm_config.verifyPasses = config.verifyPasses;
     edm_config.scheduler = &scheduler;
     edm_config.tapeCache = &tape_cache;

@@ -83,12 +83,11 @@ struct ExperimentConfig
      */
     int jobs = 1;
     /**
-     * Trajectory-engine lane width forwarded to every round's
-     * EdmConfig::simBatch (0 = scalar per-shot path), used by members
-     * above sim::kExactLawMaxQubits active qubits. Throughput only —
-     * results are bit-identical at every width.
+     * Ignored: nothing in the pipeline reads it. Kept only because
+     * perfbench/trace.cpp still passes it to Executor::setSimBatch;
+     * it goes when that call does.
      */
-    std::size_t simBatch = sim::Executor::kDefaultSimBatch;
+    std::size_t simBatch = 0;
     /**
      * Run the qedm::check static verifiers over every compiled
      * program of every round (forwarded to EdmConfig::verifyPasses).

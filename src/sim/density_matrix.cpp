@@ -112,10 +112,9 @@ struct Terms
  * runs twice as wide on AVX2. GCC builds a baseline and an AVX2 clone
  * and picks one at load time; both do the same IEEE multiplies and
  * adds per output (AVX2 has no FMA, and FP contraction is off), so the
- * bits do not depend on the host. QEDM_NO_SIMD builds the baseline
- * only.
+ * bits do not depend on the host.
  */
-#if !defined(QEDM_NO_SIMD) && defined(__x86_64__) && defined(__GNUC__)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define QEDM_SWEEP_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define QEDM_SWEEP_CLONES

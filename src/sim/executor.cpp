@@ -1,17 +1,12 @@
 #include "sim/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/batched_statevector.hpp"
 #include "sim/channels.hpp"
-#include "sim/kernel_shapes.hpp"
 #include "sim/law_sampler.hpp"
-#include "sim/shot_plan.hpp"
 #include "sim/statevector.hpp"
 
 namespace qedm::sim {
@@ -32,7 +27,7 @@ Executor::run(const Circuit &physical, std::uint64_t shots,
 namespace {
 
 /**
- * The trajectory loops fold their per-shot outcomes into Counts a
+ * The trajectory loop folds its per-shot outcomes into Counts a
  * chunk at a time (Counts::addShots: one counting pass or sort, one
  * linear merge); an ordered insert per shot would cost O(distinct)
  * each on a wide register.
@@ -40,7 +35,7 @@ namespace {
 constexpr std::size_t kFoldChunk = std::size_t(1) << 14;
 
 /**
- * The scalar trajectory loop. Every unitary factor comes
+ * The trajectory loop, one shot at a time. Every unitary factor comes
  * pre-materialized from the tape: the shot loop applies stored
  * matrices (with the StateVector's structured-matrix fast paths) and
  * never re-derives a gate matrix.
@@ -145,194 +140,6 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
     return counts;
 }
 
-/**
- * One batch through the SoA engine: the tape is walked once, shared
- * unitary factors broadcast to every lane, and the pre-sampled plan
- * supplies each lane's stochastic realization (Pauli fixups, Kraus
- * uniforms, measurement/readout uniforms) in the scalar loop's draw
- * positions. Kraus (ks) and depolarizing (ds) site counters advance
- * exactly as the pre-sampler's did, pairing every site with its
- * recorded lane row.
- */
-/** Per-Kraus-site chain hint for applyKraus1qLanes: when mask is
- *  nonzero, the site that follows this one in walk order starts with
- *  diag(1, d1) on that qubit bit and nothing else touches the state
- *  in between, so the closing renormalization can pre-accumulate the
- *  next site's Born probability in the same sweep. */
-struct ChainHint
-{
-    std::size_t mask = 0;
-    Complex d1{0.0, 0.0};
-};
-
-/**
- * Walk the tape in the exact runOneBatch order and record, for each
- * Kraus site, whether the next state mutation is another Kraus site
- * whose first operator is diag(1, d1) — the amplitude-damping shape.
- * Gates (and their fixups) break the chain; consecutive relaxation
- * sites, the seam from one op's post-relaxation into the next op's
- * pre-relaxation, and the measurement relaxation run all chain.
- * Hints are advisory: a wrong one costs a redundant sweep, never a
- * different bit (BatchedStateVector re-validates before consuming).
- */
-std::vector<ChainHint>
-buildChainHints(const ExecutionTape &tape)
-{
-    std::vector<ChainHint> hints;
-    int prev = -1;
-    const auto site = [&](const Kraus1q &kraus, int local) {
-        if (prev >= 0 && kraus.size() > 1 &&
-            kernels::classify1q(kraus[0]) ==
-                kernels::Mat2Shape::Diagonal &&
-            kraus[0][0] == kernels::kOne) {
-            hints[static_cast<std::size_t>(prev)] = {
-                std::size_t(1) << local, kraus[0][3]};
-        }
-        prev = static_cast<int>(hints.size());
-        hints.emplace_back();
-    };
-    for (const TapeOp &op : tape.ops) {
-        for (const auto &[local, kraus] : op.preRelaxation)
-            site(kraus, local);
-        prev = -1; // the gate and its fixups break the chain
-        for (const auto &[local, kraus] : op.relaxation)
-            site(kraus, local);
-    }
-    for (const auto &m : tape.measures)
-        for (const auto &kraus : m.relaxation)
-            site(kraus, m.local);
-    return hints;
-}
-
-void
-runOneBatch(BatchedStateVector &sv, const BatchPlan &plan,
-            const hw::Calibration &cal, const ExecutionTape &tape,
-            const std::vector<ChainHint> &hints,
-            std::vector<Outcome> &outcomes, std::vector<std::size_t> &basis)
-{
-    const std::size_t lanes = plan.lanes();
-    std::size_t ks = 0;
-    std::size_t ds = 0;
-    const auto kraus_site = [&](const Kraus1q &kraus, int local) {
-        sv.applyKraus1qLanes(kraus, local, plan.krausU(ks),
-                             hints[ks].mask, hints[ks].d1);
-        ++ks;
-    };
-    for (const TapeOp &op : tape.ops) {
-        for (const auto &[local, kraus] : op.preRelaxation)
-            kraus_site(kraus, local);
-        if (op.l1 < 0) {
-            sv.apply1q(op.gate1q, op.l0);
-            if (op.overRotation != 0.0)
-                sv.apply1q(op.overRotationMat, op.l0);
-            if (op.depolProb > 0.0)
-                sv.applyPauli1qLanes(plan.pauli(ds++), op.l0);
-        } else {
-            sv.apply2q(op.gate2q, op.l0, op.l1);
-            if (op.overRotation != 0.0)
-                sv.apply1q(op.overRotationMat, op.l1);
-            if (op.controlPhase != 0.0)
-                sv.apply1q(op.controlPhaseMat, op.l0);
-            for (const auto &[spectator, kick] : op.crosstalk)
-                sv.apply1q(kick, spectator);
-            if (op.depolProb > 0.0)
-                sv.applyPauli2qLanes(plan.pauli(ds++), op.l0, op.l1);
-        }
-        for (const auto &[local, kraus] : op.relaxation)
-            kraus_site(kraus, local);
-    }
-    for (const auto &m : tape.measures) {
-        for (const auto &kraus : m.relaxation)
-            kraus_site(kraus, m.local);
-    }
-
-    basis.resize(lanes);
-    sv.sampleMeasurementLanes(plan.measureU(), basis.data());
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-        Outcome outcome = 0;
-        std::size_t rs = 0;
-        for (const auto &m : tape.measures) {
-            int bit = getBit(basis[l], m.local);
-            const auto &qc = cal.qubit(m.phys);
-            // Eligibility guarantees P01 > 0 <=> P10 > 0, so the
-            // site is active independent of the measured bit.
-            if (qc.readoutP01 > 0.0) {
-                const double flip =
-                    bit ? qc.readoutP10 : qc.readoutP01;
-                if (plan.readoutU(rs)[l] < flip)
-                    bit ^= 1;
-                ++rs;
-            }
-            outcome = setBit(outcome, m.clbit, bit);
-        }
-        for (std::size_t p = 0; p < tape.pairReadout.size(); ++p) {
-            if (plan.pairFlip(p)[l] != 0) {
-                outcome = flipBit(outcome, tape.pairReadout[p].clbitA);
-                outcome = flipBit(outcome, tape.pairReadout[p].clbitB);
-            }
-        }
-        outcomes.push_back(outcome);
-    }
-}
-
-stats::Counts
-runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
-                std::uint64_t shots, Rng &rng, std::size_t width)
-{
-    // Cap the width so both amplitude planes together stay in the
-    // lower half of L1 (~16 KiB): every tape op sweeps the full
-    // working set, and the pair-order replay buffer plus the plan
-    // rows stream alongside it, so wider batches that push the
-    // combined footprint past L1 run slower, not faster. Keep at
-    // least 4 lanes (one SIMD vector) for large registers, but never
-    // above ~16 MiB total.
-    const std::size_t dim = std::size_t(1) << tape.numLocal;
-    const std::size_t amp_bytes = dim * 2 * sizeof(double);
-    const std::size_t l1_lanes = (std::size_t(16) << 10) / amp_bytes;
-    const std::size_t mem_lanes = std::max<std::size_t>(
-        1, (std::size_t(16) << 20) / amp_bytes);
-    width = std::min(
-        {width, std::max<std::size_t>(l1_lanes, 4), mem_lanes});
-
-    stats::Counts counts(tape.numClbits);
-    std::vector<Outcome> outcomes;
-    BatchPlan plan;
-    const std::vector<ChainHint> hints = buildChainHints(tape);
-    std::vector<std::size_t> basis;
-    std::unique_ptr<BatchedStateVector> full;
-    std::uint64_t done = 0;
-    while (done < shots) {
-        const auto batch = static_cast<std::size_t>(
-            std::min<std::uint64_t>(width, shots - done));
-        BatchedStateVector *sv = nullptr;
-        std::unique_ptr<BatchedStateVector> tail;
-        if (batch == width) {
-            if (full)
-                full->reset();
-            else
-                full = std::make_unique<BatchedStateVector>(
-                    tape.numLocal, width);
-            sv = full.get();
-        } else {
-            // Non-multiple remainder: a one-off engine of exactly the
-            // leftover lane count (plan rows are stride-`batch`).
-            tail = std::make_unique<BatchedStateVector>(tape.numLocal,
-                                                        batch);
-            sv = tail.get();
-        }
-        plan.presample(tape, cal, batch, rng);
-        runOneBatch(*sv, plan, cal, tape, hints, outcomes, basis);
-        if (outcomes.size() >= kFoldChunk) {
-            counts.addShots(outcomes);
-            outcomes.clear();
-        }
-        done += batch;
-    }
-    counts.addShots(outcomes);
-    return counts;
-}
-
 /** Exact-law sampling: one uniform per trial, one guided draw from
  *  the tape's law, so a run of L trials draws exactly the first L
  *  uniforms of any longer run on the same stream. */
@@ -367,10 +174,6 @@ Executor::runTrajectories(const ExecutionTape &tape, std::uint64_t shots,
                           Rng &rng) const
 {
     QEDM_REQUIRE(shots > 0, "shots must be positive");
-    if (simBatch_ > 0 && batchEligible(tape, device_.calibration())) {
-        return runShotsBatched(device_.calibration(), tape, shots,
-                               rng, simBatch_);
-    }
     return runShots(device_.calibration(), tape, shots, rng);
 }
 

@@ -87,26 +87,21 @@ class Executor
     /**
      * Per-shot noise trajectories, whatever the register size: the
      * engine run() uses above kExactLawMaxQubits, kept callable on
-     * its own so its kernels stay tested and benchmarked. The DESIGN
-     * §12 draw-order contract applies here: fixed-seed Counts are
-     * bit-identical at every batch width.
+     * its own so it stays tested and benchmarked on small registers.
+     * Each shot evolves one StateVector through the tape and draws
+     * its noise in the DESIGN §12 order; a tape with no per-shot
+     * randomness before readout is evolved once and its Born law
+     * sampled.
      */
     stats::Counts runTrajectories(const ExecutionTape &tape,
                                   std::uint64_t shots, Rng &rng) const;
 
     /**
-     * Trajectory lane width: stochastic tapes whose draw structure is
-     * state-independent (sim/shot_plan.hpp) evolve this many shots
-     * per tape walk on the batched SoA trajectory engine,
-     * bit-identical to the scalar loop. 0 forces the scalar per-shot
-     * path (the pre-batching reference); widths are additionally
-     * capped so the amplitude planes stay memory-sane for large
-     * registers. Exact-law sampling ignores it. Configure before
-     * sharing the Executor across threads.
+     * Ignored: there is one trajectory engine and no lane width to
+     * set. Kept only because perfbench/trace.cpp still calls it; it
+     * goes when that call does.
      */
-    static constexpr std::size_t kDefaultSimBatch = 64;
-    void setSimBatch(std::size_t width) { simBatch_ = width; }
-    std::size_t simBatch() const { return simBatch_; }
+    void setSimBatch(std::size_t) {}
 
     /**
      * Exact output distribution over the classical register via
@@ -126,7 +121,6 @@ class Executor
 
   private:
     hw::Device device_;
-    std::size_t simBatch_ = kDefaultSimBatch;
 };
 
 /**

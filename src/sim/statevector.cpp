@@ -4,17 +4,59 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/kernel_shapes.hpp"
 
 namespace qedm::sim {
 
 namespace {
 
-using kernels::classify1q;
-using kernels::decomposeMonomial4;
-using kernels::kOne;
-using kernels::kZero;
-using kernels::Mat2Shape;
+constexpr Complex kZero(0.0);
+constexpr Complex kOne(1.0);
+
+/** Classification of a 2x2 matrix into kernel shapes. */
+enum class Mat2Shape
+{
+    General,
+    Diagonal,     ///< m[1] == m[2] == 0 (Z/S/T/Rz/phase, damping K0)
+    AntiDiagonal, ///< m[0] == m[3] == 0 (X/Y, damping K1)
+};
+
+Mat2Shape
+classify1q(const std::array<Complex, 4> &m)
+{
+    if (m[1] == kZero && m[2] == kZero)
+        return Mat2Shape::Diagonal;
+    if (m[0] == kZero && m[3] == kZero)
+        return Mat2Shape::AntiDiagonal;
+    return Mat2Shape::General;
+}
+
+/**
+ * Monomial (one nonzero per row, distinct columns) decomposition of a
+ * 4x4 matrix: covers CX, CZ, SWAP, diagonal phases, and Pauli tensor
+ * products. @returns false for matrices with any denser row.
+ */
+bool
+decomposeMonomial4(const std::array<Complex, 16> &m, int col[4],
+                   Complex coeff[4])
+{
+    int used = 0;
+    for (int r = 0; r < 4; ++r) {
+        int nz = -1;
+        for (int c = 0; c < 4; ++c) {
+            if (m[r * 4 + c] != kZero) {
+                if (nz >= 0)
+                    return false;
+                nz = c;
+            }
+        }
+        if (nz < 0 || (used & (1 << nz)))
+            return false;
+        used |= 1 << nz;
+        col[r] = nz;
+        coeff[r] = m[r * 4 + nz];
+    }
+    return true;
+}
 
 /**
  * Squared magnitude of (K psi) restricted to the butterfly pair

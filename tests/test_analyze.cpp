@@ -158,36 +158,6 @@ TEST(Rules, RngDiscipline)
               0);
 }
 
-TEST(Rules, RngInKernel)
-{
-    // The type and draw-shaped member calls are banned in the
-    // batched-kernel TUs.
-    EXPECT_EQ(countRule(findingsFor("src/sim/batched_statevector.cpp",
-                                    "void f(Rng &rng);\n"),
-                        "rng-in-kernel"),
-              1);
-    EXPECT_EQ(countRule(findingsFor("src/sim/lane_kernels_impl.hpp",
-                                    "double d = plan->uniform();\n"
-                                    "bool b = r.bernoulli(0.5);\n"),
-                        "rng-in-kernel"),
-              2);
-    // A plain identifier spelled like a draw is not a draw.
-    EXPECT_EQ(countRule(findingsFor("src/sim/batched_statevector.cpp",
-                                    "bool uniform = true;\n"
-                                    "uniform = uniform && ok;\n"),
-                        "rng-in-kernel"),
-              0);
-    // The rest of src/sim (shot_plan, executor) may hold an Rng.
-    EXPECT_EQ(countRule(findingsFor("src/sim/shot_plan.cpp",
-                                    "double d = rng.uniform();\n"),
-                        "rng-in-kernel"),
-              0);
-    EXPECT_EQ(countRule(findingsFor("src/sim/executor.cpp",
-                                    "void f(Rng &rng);\n"),
-                        "rng-in-kernel"),
-              0);
-}
-
 TEST(Rules, TimeSeed)
 {
     EXPECT_EQ(countRule(findingsFor("src/a.cpp",
@@ -686,8 +656,7 @@ TEST(Sarif, StructureIsValid210)
     for (const auto &r : rules->array)
         rule_ids.push_back(r->get("id")->string);
     for (const char *expected :
-         {"rng-discipline", "rng-in-kernel", "time-seed",
-          "assert-discipline",
+         {"rng-discipline", "time-seed", "assert-discipline",
           "stdout-discipline", "pragma-once", "naked-new",
           "dense-distance", "unordered-iteration", "local-static",
           "float-accumulate", "wall-clock", "layering", "include-cycle",

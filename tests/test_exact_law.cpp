@@ -15,6 +15,9 @@
  *    4 * E[TV] of the law, E[TV] = 1/2 sum_o sqrt(2 p_o (1 - p_o) /
  *    (pi N)). Both bounds follow from N and the law alone;
  *
+ * Above the cut, the trajectory engine is held to the density-matrix
+ * law by the same chi-square and TV bounds at 9 and 10 active qubits.
+ *
  * The sparse support (untouched and dephased qubits) is held to the
  * same reference on the tape shapes it special-cases, and its sweep
  * count to a tenth of a dense evolution's on the largest members.
@@ -461,6 +464,68 @@ const std::vector<std::string> kTable1 = {
     "greycode", "fredkin", "adder",  "decode-24"};
 
 INSTANTIATE_TEST_SUITE_P(Table1, ExactLawTest, ::testing::ValuesIn(kTable1));
+
+// ---------------------------------------------------------------------
+// Trajectories above the exact-law cut.
+// ---------------------------------------------------------------------
+
+/**
+ * Registers above sim::kExactLawMaxQubits run on trajectories, and the
+ * test above never reaches them. BV with an 8- and a 9-bit key on
+ * melbourne(2), full noise: 9 and 10 active qubits, still within
+ * exactDistribution's dense limit. At a fixed budget and seed the
+ * trajectory histogram must pass the two-sample chi-square test
+ * against 64 times as many draws from the density-matrix law (close
+ * to a one-sample test against the law itself), and sit within
+ * 4 E[TV] of it. The seeds are fixed, so the p-values repeat exactly;
+ * a correct change that re-rolls the engine's draws fails one of the
+ * two cases with probability ~2e-4 at the 1e-4 floor. At that floor,
+ * dropping the readout flips, the measurement-window relaxation or
+ * the two-qubit depolarizing errors from the engine each fail at
+ * least one case.
+ */
+class TrajectoryAboveCutTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(TrajectoryAboveCutTest, MatchesDensityMatrixLaw)
+{
+    constexpr std::uint64_t kTrials = 2048;
+    const std::string &key = GetParam();
+    const hw::Device device = hw::Device::melbourne(2);
+    const core::EnsembleBuilder builder(device);
+    const auto tape = sim::ExecutionTape::build(
+        device, builder.build(benchmarks::bernsteinVazirani(key).circuit)
+                    .front()
+                    .physical);
+    ASSERT_EQ(tape.numLocal, static_cast<int>(key.size()) + 1);
+    ASSERT_FALSE(tape.hasLaw());
+
+    const sim::Executor exec(device);
+    const stats::Distribution law = exec.exactDistribution(tape);
+    std::vector<double> cumulative(law.size());
+    std::partial_sum(law.probabilities().begin(),
+                     law.probabilities().end(), cumulative.begin());
+    const sim::LawSampler sampler(std::move(cumulative));
+
+    const SeedSequence seeds(2026);
+    Rng exact_rng = seeds.child(0).rng();
+    Rng traj_rng = seeds.child(1).rng();
+    std::vector<Outcome> draws(64 * kTrials);
+    for (Outcome &o : draws)
+        o = static_cast<Outcome>(sampler.sample(exact_rng));
+    stats::Counts exact(tape.numClbits);
+    exact.addShots(draws);
+    const stats::Counts traj = exec.run(tape, kTrials, traj_rng);
+    ASSERT_EQ(traj.total(), kTrials);
+    EXPECT_GE(homogeneityPValue(exact, traj, law), 1e-4);
+    EXPECT_LE(stats::totalVariation(stats::Distribution::fromCounts(traj),
+                                    law),
+              4.0 * expectedTv(law, kTrials));
+}
+
+INSTANTIATE_TEST_SUITE_P(Bv, TrajectoryAboveCutTest,
+                         ::testing::Values("10110101", "101101011"));
 
 // ---------------------------------------------------------------------
 // Closed-form two-qubit depolarizing.

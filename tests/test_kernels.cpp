@@ -7,8 +7,9 @@
  *    (trajectory shot counts on stochastic and deterministic tapes,
  *    via Executor::runTrajectories), asserted bit-identical — the
  *    kernels' RNG draw-order contract; plus full EDM/WEDM merge
- *    probabilities at --jobs 1 and 4, whose members sample their
- *    exact law (DESIGN.md §19);
+ *    probabilities at --jobs 1 and 4, on members that sample their
+ *    exact law (DESIGN.md §19) and on members above the exact-law
+ *    cut that run trajectories;
  *  - the straightforward reference kernels (full-scan loops the
  *    rewrite replaced) copied here verbatim and checked equal to the
  *    optimized kernels on random states, for every matrix structure
@@ -27,11 +28,13 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
 #include "common/hash.hpp"
 #include "core/edm.hpp"
+#include "core/experiment.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
 #include "sim/execution_tape.hpp"
@@ -444,7 +447,106 @@ TEST_P(GoldenPipeline, EdmWedmBv6FixedSeedBitIdentical)
     }
 }
 
+// An 8-bit key compiles to 9 active qubits, one above
+// sim::kExactLawMaxQubits, so every member runs on the trajectory
+// engine: the same pipeline pinned there. 1,024 total trials, pipeline
+// seed 2026, default EdmConfig otherwise.
+TEST_P(GoldenPipeline, EdmWedmTrajectoryBv9FixedSeed)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const auto bench = benchmarks::bernsteinVazirani("10110101");
+    core::EdmConfig config;
+    config.totalShots = 1024;
+    config.jobs = GetParam();
+    const core::EdmPipeline pipeline(device, config);
+    Rng rng(2026);
+    const auto result = pipeline.run(bench.circuit, rng);
+    ASSERT_FALSE(result.members.empty());
+    for (const core::MemberResult &member : result.members) {
+        EXPECT_FALSE(
+            sim::ExecutionTape::build(device, member.program.physical)
+                .hasLaw());
+    }
+    EXPECT_EQ(Fingerprint().addRange(result.edm.probabilities()).value(),
+              0xad4914269f2a7ac7ull);
+    EXPECT_EQ(Fingerprint().addRange(result.wedm.probabilities()).value(),
+              0xcd810c80dae68a49ull);
+}
+
 INSTANTIATE_TEST_SUITE_P(Jobs, GoldenPipeline, ::testing::Values(1, 4));
+
+// The 9-qubit trajectory pipeline at (width, jobs) against the
+// sequential reference. The only width left is
+// ExperimentConfig::simBatch, which the pipeline ignores: a
+// one-round experiment at that width must match one at width 0,
+// and the full EDM/WEDM merge at any jobs value must match jobs 1.
+class BatchedPipeline
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>>
+{
+};
+
+TEST_P(BatchedPipeline, EdmWedmInvariantToWidthAndJobs)
+{
+    const auto [width, jobs] = GetParam();
+    const hw::Device device = hw::Device::melbourne(2);
+    const auto bench = benchmarks::bernsteinVazirani("10110101");
+
+    const auto runAt = [&](int j) {
+        core::EdmConfig config;
+        config.totalShots = 1024;
+        config.jobs = j;
+        const core::EdmPipeline pipeline(device, config);
+        Rng rng(2026);
+        return pipeline.run(bench.circuit, rng);
+    };
+    const auto ref = runAt(1);
+    const auto got = runAt(jobs);
+    for (const core::MemberResult &member : got.members) {
+        ASSERT_FALSE(
+            sim::ExecutionTape::build(device, member.program.physical)
+                .hasLaw());
+    }
+    ASSERT_EQ(got.edm.size(), ref.edm.size());
+    ASSERT_EQ(got.wedm.size(), ref.wedm.size());
+    for (std::size_t i = 0; i < ref.edm.size(); ++i) {
+        EXPECT_EQ(got.edm.probabilities()[i],
+                  ref.edm.probabilities()[i])
+            << "edm outcome " << i;
+        EXPECT_EQ(got.wedm.probabilities()[i],
+                  ref.wedm.probabilities()[i])
+            << "wedm outcome " << i;
+    }
+
+    const auto roundAt = [&](std::size_t w, int j) {
+        core::ExperimentConfig config;
+        config.rounds = 1;
+        config.totalShots = 256;
+        config.jobs = j;
+        config.simBatch = w;
+        return core::runExperiment(device, bench, config, 2026)
+            .rounds.at(0);
+    };
+    const core::RoundOutcome refRound = roundAt(0, 1);
+    const core::RoundOutcome gotRound = roundAt(width, jobs);
+    const auto expectSame = [](const core::PolicyOutcome &a,
+                               const core::PolicyOutcome &b,
+                               const char *policy) {
+        EXPECT_EQ(a.ist, b.ist) << policy;
+        EXPECT_EQ(a.pst, b.pst) << policy;
+    };
+    expectSame(gotRound.baselineEst, refRound.baselineEst, "baseline-est");
+    expectSame(gotRound.baselinePost, refRound.baselinePost,
+               "baseline-post");
+    expectSame(gotRound.edm, refRound.edm, "edm");
+    expectSame(gotRound.wedm, refRound.wedm, "wedm");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsByJobs, BatchedPipeline,
+    ::testing::Combine(::testing::Values(std::size_t(1),
+                                         std::size_t(3),
+                                         std::size_t(64)),
+                       ::testing::Values(1, 4)));
 
 // ---------------------------------------------------------------------
 // Golden faulted pipeline: fixed-seed bits of two degraded runs.

@@ -93,14 +93,6 @@ struct RuleProfile
      */
     std::string wallClockExemptReason;
     /**
-     * Ban randomness from the batched trajectory kernels: those TUs
-     * must consume pre-sampled draws (sim/shot_plan.hpp), never the
-     * Rng itself. A draw inside a kernel would break the DESIGN.md
-     * §12 draw-order contract between the scalar and batched paths —
-     * silently, since both would still look "random".
-     */
-    bool rngInKernel = false;
-    /**
      * Ban heap allocation inside functions marked `// qedm:hot`: the
      * placement-search and VF2 inner loops preallocate every buffer
      * when the search plan/worker is built (DESIGN.md §18), so an

@@ -162,73 +162,6 @@ class RngDisciplineRule final : public FileRule
     }
 };
 
-/**
- * The batched-kernel hot path (src/sim/batched*, src/sim/lane_kernels*)
- * must never draw randomness: every stochastic decision is pre-sampled
- * into the per-shot plan (sim/shot_plan.hpp) before the batch walk, so
- * the scalar and batched engines replay the identical draw sequence.
- * Flag any mention of the Rng type and any member call spelled like a
- * draw (`x.uniform(...)`, `plan->bernoulli(...)`): either one means a
- * kernel could consume entropy mid-walk, silently breaking the
- * DESIGN.md §12 draw-order contract — the results would still look
- * plausibly random, just not reproducible against the scalar path.
- */
-class RngInKernelRule final : public FileRule
-{
-  public:
-    RngInKernelRule()
-        : FileRule("rng-in-kernel",
-                   "batched trajectory kernels must consume "
-                   "pre-sampled draws (sim/shot_plan.hpp), never the "
-                   "Rng: a mid-walk draw breaks the scalar/batched "
-                   "draw-order contract")
-    {
-    }
-    bool appliesTo(const std::string &,
-                   const RuleProfile &p) const override
-    {
-        return p.rngInKernel;
-    }
-    void check(const FileScan &scan,
-               std::vector<Finding> &out) const override
-    {
-        static const char *const kDraws[] = {
-            "uniform", "uniformInt", "bernoulli", "normal",
-            "discrete"};
-        const auto code = codeTokens(scan);
-        for (std::size_t i = 0; i < code.size(); ++i) {
-            const Token &t = scan.tokens[code[i]];
-            if (isIdent(t, "Rng")) {
-                out.push_back(Finding{
-                    scan.rel_path, t.line, {},
-                    "Rng inside a batched-kernel TU; draws must be "
-                    "pre-sampled via sim/shot_plan.hpp (DESIGN.md "
-                    "§12 draw-order contract)",
-                    {}, 0});
-                continue;
-            }
-            // Draw-shaped member call: `.name(` or `->name(`. Plain
-            // identifiers (a local named `uniform`) stay legal.
-            if (i >= 1 && i + 1 < code.size() &&
-                (isPunct(scan.tokens[code[i - 1]], ".") ||
-                 isPunct(scan.tokens[code[i - 1]], "->")) &&
-                isPunct(scan.tokens[code[i + 1]], "(")) {
-                for (const char *draw : kDraws) {
-                    if (isIdent(t, draw)) {
-                        out.push_back(Finding{
-                            scan.rel_path, t.line, {},
-                            std::string("draw call `") + draw +
-                                "` inside a batched-kernel TU; "
-                                "pre-sample it into the shot plan "
-                                "instead",
-                            {}, 0});
-                    }
-                }
-            }
-        }
-    }
-};
-
 class TimeSeedRule final : public FileRule
 {
   public:
@@ -953,13 +886,6 @@ profileFor(const std::string &rel_path)
         p.rngDiscipline = false; // the one sanctioned engine home
         p.timeSeed = false;
     }
-    // The batched trajectory kernels never draw: decisions arrive
-    // pre-sampled (sim/shot_plan.hpp). shot_plan itself is the
-    // sanctioned bridge and stays exempt.
-    if (rel_path.rfind("src/sim/batched", 0) == 0 ||
-        rel_path.rfind("src/sim/lane_kernels", 0) == 0) {
-        p.rngInKernel = true;
-    }
     // The `// qedm:hot` inner loops of the placement search and VF2
     // matcher are preallocated by design (DESIGN.md §18).
     if (underDir(rel_path, "src/transpile"))
@@ -977,7 +903,6 @@ profileFor(const std::string &rel_path)
 RuleRegistry::RuleRegistry()
 {
     add(std::make_unique<RngDisciplineRule>());
-    add(std::make_unique<RngInKernelRule>());
     add(std::make_unique<TimeSeedRule>());
     add(std::make_unique<WallClockRule>());
     add(std::make_unique<AssertDisciplineRule>());

@@ -15,10 +15,6 @@
  * N worker threads (0 = all hardware threads, default 1). Results are
  * bit-identical for every N.
  *
- * `--sim-batch B` sets the trajectory engine's SoA lane width
- * (0 = scalar per-shot path). Throughput only — results are
- * bit-identical at every width.
- *
  * `--check` (anywhere on the line) runs the qedm::check static
  * verifier passes over every compiled program: compile/candidates
  * verify the transpiler output, run/experiment verify every ensemble
@@ -68,8 +64,8 @@
  * Journal progress notes print to stderr; stdout stays diffable.
  *
  * Exit code 0 on success, 1 on a usage/user error (including a
- * verifier rejection, an ensemble that lost every member, and a
- * corrupt or mismatched journal).
+ * verifier rejection, an ensemble that lost every member, a
+ * corrupt or mismatched journal, and an unknown `--` flag).
  */
 
 #include <cmath>
@@ -313,7 +309,7 @@ parseFaultSpec(const std::string &spec)
 
 int
 cmdRun(const std::string &name, std::uint64_t seed,
-       std::uint64_t shots, int jobs, long sim_batch, bool verify,
+       std::uint64_t shots, int jobs, bool verify,
        const resilience::ResilienceConfig &resilience,
        const std::vector<int> &region)
 {
@@ -322,8 +318,6 @@ cmdRun(const std::string &name, std::uint64_t seed,
     core::EdmConfig config;
     config.totalShots = shots;
     config.jobs = jobs;
-    if (sim_batch >= 0)
-        config.simBatch = static_cast<std::size_t>(sim_batch);
     config.verifyPasses |= verify;
     config.resilience = resilience;
     config.ensemble.region = region;
@@ -353,7 +347,7 @@ cmdRun(const std::string &name, std::uint64_t seed,
 
 int
 cmdExperiment(const std::string &name, std::uint64_t seed, int jobs,
-              long sim_batch, bool verify,
+              bool verify,
               const resilience::ResilienceConfig &resilience,
               const std::vector<int> &region,
               const std::string &journal_path,
@@ -364,8 +358,6 @@ cmdExperiment(const std::string &name, std::uint64_t seed, int jobs,
     const hw::Device device = hw::Device::melbourne(seed);
     core::ExperimentConfig config;
     config.jobs = jobs;
-    if (sim_batch >= 0)
-        config.simBatch = static_cast<std::size_t>(sim_batch);
     config.verifyPasses |= verify;
     config.resilience = resilience;
     config.region = region;
@@ -443,7 +435,7 @@ usage()
 {
     std::cerr << "usage: qedm_cli <list|show|compile|candidates|run|"
                  "experiment> [benchmark] [seed] [shots] [--jobs N] "
-                 "[--sim-batch B] [--check] "
+                 "[--check] "
                  "[--region q0,q1,...] [--region-file PATH] "
                  "[--faults SPEC] [--fail-member M] "
                  "[--retry-max N] [--member-deadline-ms MS] "
@@ -463,7 +455,6 @@ main(int argc, char **argv)
         // positionals.
         std::vector<std::string> pos;
         int jobs = 1;
-        long sim_batch = -1; // -1 = keep the EdmConfig default
         bool verify = qedm::check::kDefaultVerify;
         qedm::resilience::ResilienceConfig resilience;
         std::vector<int> region;
@@ -483,8 +474,6 @@ main(int argc, char **argv)
             if (arg == "--jobs") {
                 jobs = static_cast<int>(
                     parseCount("--jobs", flagValue(i)));
-            } else if (arg == "--sim-batch") {
-                sim_batch = parseCount("--sim-batch", flagValue(i));
             } else if (arg == "--region") {
                 region = parseRegionSpec(flagValue(i));
             } else if (arg == "--region-file") {
@@ -514,6 +503,8 @@ main(int argc, char **argv)
                 resume_path = flagValue(i);
             } else if (arg == "--replay-faults") {
                 replay_path = flagValue(i);
+            } else if (arg.rfind("--", 0) == 0) {
+                throw qedm::UserError("unknown flag `" + arg + "`");
             } else {
                 pos.push_back(arg);
             }
@@ -553,11 +544,11 @@ main(int argc, char **argv)
                 "apply to the experiment subcommand only");
         }
         if (cmd == "run") {
-            return cmdRun(name, seed, shots, jobs, sim_batch, verify,
+            return cmdRun(name, seed, shots, jobs, verify,
                           resilience, region);
         }
         if (cmd == "experiment") {
-            return cmdExperiment(name, seed, jobs, sim_batch, verify,
+            return cmdExperiment(name, seed, jobs, verify,
                                  resilience, region, journal_path,
                                  resume_path, replay_path);
         }
