@@ -216,8 +216,9 @@ BM_TopKPlacementsHeavyHex127(benchmark::State &state)
 {
     // Large-topology acceptance kernel: K=4 placements of the 7-qubit
     // QAOA path on a 127-qubit heavy-hex lattice. Exercises the
-    // on-demand distance provider and the masked-free search path at
-    // a scale where the dense O(n^2) precompute would dominate.
+    // unmasked branch-and-bound search at that scale; it reads no
+    // distances, and after the first iteration the Placer's
+    // per-circuit memo serves the search plan.
     const hw::Device device = heavyHex127Device();
     const transpile::Placer placer(device);
     const auto logical = benchmarks::qaoaMaxcutPath(7).circuit;

@@ -55,8 +55,6 @@ Topology::Topology(int num_qubits,
                  (static_cast<std::size_t>(e.a) >> 6)] |=
             std::uint64_t{1} << (static_cast<std::size_t>(e.a) & 63);
     }
-    if (numQubits_ <= kEagerDistanceMaxQubits)
-        computeDistances();
 }
 
 std::vector<int>
@@ -78,14 +76,6 @@ Topology::bfsFrom(int src) const
         }
     }
     return dist;
-}
-
-void
-Topology::computeDistances()
-{
-    dist_.reserve(static_cast<std::size_t>(numQubits_));
-    for (int src = 0; src < numQubits_; ++src)
-        dist_.push_back(bfsFrom(src));
 }
 
 bool
@@ -119,8 +109,6 @@ Topology::distance(int a, int b) const
 {
     QEDM_REQUIRE(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
                  "qubit index out of range");
-    if (!dist_.empty())
-        return dist_[a][b];
     return bfsFrom(a)[static_cast<std::size_t>(b)];
 }
 
@@ -129,9 +117,8 @@ Topology::shortestPath(int a, int b) const
 {
     QEDM_REQUIRE(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
                  "qubit index out of range");
-    // One BFS row from b serves every step of the walk; on small
-    // devices the eager matrix already holds it.
-    const std::vector<int> to_b = dist_.empty() ? bfsFrom(b) : dist_[b];
+    // One BFS row from b serves every step of the walk.
+    const std::vector<int> to_b = bfsFrom(b);
     if (to_b[static_cast<std::size_t>(a)] < 0)
         return {};
     std::vector<int> path{a};
@@ -152,8 +139,7 @@ Topology::shortestPath(int a, int b) const
 bool
 Topology::isConnected() const
 {
-    const std::vector<int> from_zero =
-        dist_.empty() ? bfsFrom(0) : dist_[0];
+    const std::vector<int> from_zero = bfsFrom(0);
     for (int q = 1; q < numQubits_; ++q) {
         if (from_zero[static_cast<std::size_t>(q)] < 0)
             return false;

@@ -6,6 +6,8 @@
  * device: vertices are physical qubits, edges are coupling resonators
  * over which a CX can be executed directly. Includes the
  * ibmq-16-melbourne (14-qubit) graph used throughout the paper.
+ * Hop distances, shortest paths and connectivity run a BFS per call
+ * at every device size; no all-pairs table is stored.
  */
 
 #pragma once
@@ -33,18 +35,6 @@ class Topology
   public:
     /** Maximum supported device size. */
     static constexpr int kMaxQubits = 1024;
-
-    /**
-     * Largest device for which the all-pairs hop-distance matrix is
-     * materialized eagerly at construction. Above this, distance(),
-     * shortestPath(), and isConnected() run a per-call BFS instead —
-     * O(V + E) per query, no O(V^2) memory — which is what makes
-     * 127/433-qubit heavy-hex topologies constructible. Hot-path
-     * consumers (placement, routing) should not query per-pair hop
-     * distances on large devices; they go through the
-     * transpile::DistanceProvider layer instead.
-     */
-    static constexpr int kEagerDistanceMaxQubits = 64;
 
     /**
      * @param num_qubits number of physical qubits (1..kMaxQubits)
@@ -77,7 +67,12 @@ class Topology
     /** Vertex degree. */
     int degree(int q) const;
 
-    /** Hop distance between qubits (BFS); -1 if disconnected. */
+    /**
+     * Hop distance between qubits; -1 if disconnected. Each call runs
+     * one O(V + E) BFS — nothing is precomputed, so 433-qubit
+     * topologies cost no O(V^2) memory. Placement and routing read
+     * weighted distances from transpile::sharedDistanceProvider.
+     */
     int distance(int a, int b) const;
 
     /** One shortest path from @p a to @p b inclusive; empty if none. */
@@ -142,7 +137,6 @@ class Topology
     /** @} */
 
   private:
-    void computeDistances();
     std::vector<int> bfsFrom(int src) const;
 
     int numQubits_;
@@ -153,8 +147,6 @@ class Topology
     /** Flat adjacency bitset: numQubits rows of adjWords_ words. */
     std::vector<std::uint64_t> adjBits_;
     std::size_t adjWords_ = 0;
-    /** All-pairs hop distances; empty above kEagerDistanceMaxQubits. */
-    std::vector<std::vector<int>> dist_;
 };
 
 } // namespace qedm::hw

@@ -1,15 +1,12 @@
 /**
  * @file
- * Shared distance matrices over the device coupling graph, used by
+ * Shared distance tables over the device coupling graph, used by
  * placement and routing heuristics.
  *
- * Consumers go through the DistanceProvider interface: a dense
- * all-pairs matrix on small devices, an on-demand memoized
- * per-source Dijkstra on large ones (127/433-qubit heavy-hex), both
- * scoped to a DeviceView so masked regions never see distances
- * through disallowed qubits. The raw distanceMatrix entry points
- * remain for the dense implementation and equivalence tests; code
- * elsewhere in src/ must not call them (lint rule dense-distance).
+ * One immutable all-pairs table per (view fingerprint, route cost),
+ * built by per-source Dijkstra over the view's allowed subgraph so
+ * masked regions never see distances through disallowed qubits.
+ * Consumers fetch it through sharedDistanceProvider.
  */
 
 #pragma once
@@ -17,107 +14,41 @@
 #include <memory>
 #include <vector>
 
-#include "hw/device.hpp"
 #include "hw/device_view.hpp"
 #include "transpile/router.hpp"
 
 namespace qedm::transpile {
 
-/** All-pairs shortest-path distances, row-major by source qubit. */
-using DistanceMatrix = std::vector<std::vector<double>>;
-
 /** Sentinel for disconnected (or mask-excluded) qubit pairs. */
 inline constexpr double kUnreachableDistance = 1e18;
 
 /**
- * Largest device for which sharedDistanceProvider materializes the
- * dense all-pairs matrix up front. Above this, rows are computed on
- * demand and memoized per view — O(V + E log V) per new source
- * instead of an eager O(V^2 log V) pass and O(V^2) memory.
+ * All-pairs shortest-path costs over a device view, where each edge
+ * costs -log(1 - cxError) (reliability metric) or 1 (hop metric).
+ * Paths only traverse allowed qubits; any pair touching a disallowed
+ * qubit, or disconnected, reports kUnreachableDistance. Copies what
+ * it needs at construction, so it never dangles past a Device.
  */
-inline constexpr int kDenseDistanceMaxQubits = 64;
-
-/**
- * All-pairs shortest-path distances where each edge costs
- * -log(1 - cxError) (reliability metric) or 1 (hop metric).
- * Disconnected pairs get a large finite sentinel.
- */
-DistanceMatrix distanceMatrix(const hw::Device &device, RouteCost cost);
-
-/**
- * Pairwise distance oracle over a device view. Distances respect the
- * view: paths may only traverse allowed qubits, and any pair touching
- * a disallowed qubit reports kUnreachableDistance.
- */
-class DistanceProvider
+class DistanceTable
 {
   public:
-    virtual ~DistanceProvider() = default;
-
-    DistanceProvider() = default;
-    DistanceProvider(const DistanceProvider &) = delete;
-    DistanceProvider &operator=(const DistanceProvider &) = delete;
+    DistanceTable(const hw::DeviceView &view, RouteCost cost);
 
     /** Shortest-path cost from @p a to @p b under the view. */
-    virtual double distance(int a, int b) const = 0;
-};
-
-/**
- * Eager dense implementation: the full all-pairs matrix, computed at
- * construction. On a full view this is bit-identical to
- * distanceMatrix() — same Dijkstra, same traversal order.
- */
-class DenseDistanceProvider final : public DistanceProvider
-{
-  public:
-    DenseDistanceProvider(const hw::DeviceView &view, RouteCost cost);
-
-    double distance(int a, int b) const override;
+    double distance(int a, int b) const;
 
   private:
-    DistanceMatrix matrix_;
+    /** Row-major by source qubit. */
+    std::vector<std::vector<double>> matrix_;
 };
 
 /**
- * Lazy implementation for large devices: per-source rows are computed
- * by a bounded Dijkstra over the allowed subgraph on first query and
- * memoized for the lifetime of the provider. Thread-safe; row fills
- * are guarded by source-sharded locks, so parallel workers querying
- * different sources fill their rows concurrently instead of
- * serializing on one global mutex.
+ * Memoized table, keyed on (view fingerprint, cost metric) — NOT the
+ * device fingerprint, or a masked view would poison the full-device
+ * entry. Thread-safe; the returned table is immutable and shareable
+ * across threads.
  */
-class OnDemandDistanceProvider final : public DistanceProvider
-{
-  public:
-    OnDemandDistanceProvider(const hw::DeviceView &view, RouteCost cost);
-
-    double distance(int a, int b) const override;
-
-    /** Number of source rows materialized so far (for tests). */
-    std::size_t rowsComputed() const;
-
-  private:
-    struct Impl;
-    std::shared_ptr<Impl> impl_;
-};
-
-/**
- * Memoized provider, keyed on (view fingerprint, cost metric) — NOT
- * the device fingerprint, or a masked view would poison the
- * full-device entry. Selects the dense implementation when the device
- * has at most kDenseDistanceMaxQubits qubits and the on-demand one
- * above that. Thread-safe; the returned provider is immutable from
- * the caller's perspective and shareable across threads.
- */
-std::shared_ptr<const DistanceProvider>
+std::shared_ptr<const DistanceTable>
 sharedDistanceProvider(const hw::DeviceView &view, RouteCost cost);
-
-/**
- * Memoized distanceMatrix, keyed on (device fingerprint, cost metric).
- * Retained for the dense provider and direct matrix consumers in
- * tests; new code should take a DistanceProvider.
- */
-std::shared_ptr<const DistanceMatrix>
-sharedDistanceMatrix(const hw::Device &device, RouteCost cost);
 
 } // namespace qedm::transpile

@@ -53,15 +53,16 @@ LookaheadRouter::route(const Circuit &logical,
 
     const Circuit flat = logical.decomposed();
     const CircuitDag dag(flat);
+    // The output register spans the device; building it first makes
+    // an over-cap device fail before any distance table is built.
+    RouteResult result{Circuit(topo.numQubits(), flat.numClbits()),
+                       {}, 0};
     const auto dist = sharedDistanceProvider(view_, config_.cost);
 
     std::vector<int> map = initial_map;
     std::vector<int> occupant(topo.numQubits(), -1);
     for (int l = 0; l < static_cast<int>(map.size()); ++l)
         occupant[map[l]] = l;
-
-    RouteResult result{Circuit(topo.numQubits(), flat.numClbits()),
-                       {}, 0};
 
     // Dependency state.
     std::vector<std::size_t> unresolved(dag.size(), 0);

@@ -188,10 +188,9 @@ using EmbeddingScorer =
  * triple: feasibility bitsets, the matching order with flattened back
  * edges, dense log tables, admissible suffix bounds, and the sorted
  * root frontier. Building this is a double-digit-microsecond pass on
- * a 127-qubit device — noticeable when the same circuit is re-placed
- * every calibration cycle — so callers that search repeatedly (the
- * Placer's per-circuit memo, benches) build the plan once and pass it
- * to every topKPlacements call.
+ * a 127-qubit device, so callers that search repeatedly (the
+ * ensemble builder, the Placer's per-circuit memo, benches) build the
+ * plan once and pass it to every topKPlacements call.
  *
  * The plan holds references into @p pattern and @p cost_model (and
  * the cost model's EspModel); both must outlive it. It is immutable

@@ -94,12 +94,14 @@ class Placer
     /**
      * Per-circuit memo (keyed on the circuit fingerprint) of the
      * placement problem — interaction pattern, gate trace, cost
-     * model, precompiled search plan. Re-placing the same circuit
-     * every calibration cycle is the dominant call shape, and problem
-     * construction would otherwise cost more than the pruned search
-     * itself. Mutex-guarded (topPlacements stays safe to call
-     * concurrently); shared across Placer copies, which is sound
-     * because entries are immutable once published.
+     * model, precompiled search plan — so repeated topPlacements
+     * calls on one Placer skip problem construction, which would
+     * otherwise cost more than the pruned search itself. Only
+     * callers that keep a Placer hit it (perf_micro's topk_* rows,
+     * tests): Transpiler builds a fresh Placer per compile.
+     * Mutex-guarded (topPlacements stays safe to call concurrently);
+     * shared across Placer copies, which is sound because entries are
+     * immutable once published.
      */
     struct Cache;
 

@@ -274,21 +274,6 @@ TEST(Rules, NakedNew)
               0);
 }
 
-TEST(Rules, DenseDistance)
-{
-    EXPECT_EQ(countRule(findingsFor("src/core/a.cpp",
-                                    "auto m = "
-                                    "sharedDistanceMatrix(dev);\n"),
-                        "dense-distance"),
-              1);
-    // The provider's own home is exempt.
-    EXPECT_EQ(countRule(findingsFor("src/transpile/distances.cpp",
-                                    "auto m = "
-                                    "sharedDistanceMatrix(dev);\n"),
-                        "dense-distance"),
-              0);
-}
-
 TEST(Rules, UnorderedIteration)
 {
     const std::string bad =
@@ -658,9 +643,8 @@ TEST(Sarif, StructureIsValid210)
     for (const char *expected :
          {"rng-discipline", "time-seed", "assert-discipline",
           "stdout-discipline", "pragma-once", "naked-new",
-          "dense-distance", "unordered-iteration", "local-static",
-          "float-accumulate", "wall-clock", "layering", "include-cycle",
-          "stale-baseline"}) {
+          "unordered-iteration", "local-static", "float-accumulate",
+          "wall-clock", "layering", "include-cycle", "stale-baseline"}) {
         EXPECT_NE(std::find(rule_ids.begin(), rule_ids.end(),
                             expected),
                   rule_ids.end())

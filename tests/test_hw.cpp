@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
 #include "common/error.hpp"
@@ -425,19 +426,27 @@ TEST(Topology, HeavyHexRejectsBadDimensions)
 
 TEST(Topology, LazyDistancesMatchEagerBfs)
 {
-    // 127 qubits sits above kEagerDistanceMaxQubits, so distance()
-    // runs per-source BFS on demand; it must agree with the eager
-    // matrix a small topology would have produced. Compare against an
-    // independently-run BFS via shortestPath lengths.
-    const Topology t = Topology::heavyHex127();
-    ASSERT_GT(t.numQubits(), Topology::kEagerDistanceMaxQubits);
-    for (int a : {0, 17, 63, 126}) {
-        for (int b : {0, 5, 64, 126}) {
-            const auto path = t.shortestPath(a, b);
-            ASSERT_FALSE(path.empty());
-            EXPECT_EQ(t.distance(a, b),
-                      static_cast<int>(path.size()) - 1);
-            EXPECT_EQ(t.distance(a, b), t.distance(b, a));
+    // distance() runs one BFS per call at every size. Check it against
+    // shortestPath lengths (and symmetry) at 14, 64 and 127 qubits, and
+    // against Manhattan distance on the 8x8 grid.
+    for (const Topology &t : {Topology::melbourne(), Topology::grid(8, 8),
+                              Topology::heavyHex127()}) {
+        const int n = t.numQubits();
+        for (int a : {0, n / 7, n / 2, n - 1}) {
+            for (int b : {0, 5, n / 2 + 1, n - 1}) {
+                const auto path = t.shortestPath(a, b);
+                ASSERT_FALSE(path.empty());
+                EXPECT_EQ(t.distance(a, b),
+                          static_cast<int>(path.size()) - 1);
+                EXPECT_EQ(t.distance(a, b), t.distance(b, a));
+            }
+        }
+    }
+    const Topology grid = Topology::grid(8, 8);
+    for (int a = 0; a < 64; ++a) {
+        for (int b = 0; b < 64; ++b) {
+            EXPECT_EQ(grid.distance(a, b),
+                      std::abs(a / 8 - b / 8) + std::abs(a % 8 - b % 8));
         }
     }
 }

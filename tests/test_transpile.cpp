@@ -17,6 +17,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "hw/device.hpp"
 #include "hw/device_view.hpp"
 #include "sim/executor.hpp"
@@ -24,6 +25,7 @@
 #include "transpile/distances.hpp"
 #include "transpile/esp.hpp"
 #include "transpile/interaction_graph.hpp"
+#include "transpile/lookahead_router.hpp"
 #include "transpile/placement_search.hpp"
 #include "transpile/placer.hpp"
 #include "transpile/router.hpp"
@@ -733,105 +735,87 @@ seedTopologyDevices()
     return devices;
 }
 
-TEST(DistanceProvider, DenseAndOnDemandAgreeOnEverySeedTopology)
+TEST(DistanceProvider, TablePinnedOnEverySeedTopology)
 {
-    // The provider pair must be interchangeable: same doubles from the
-    // eager dense matrix and the lazy per-source Dijkstra, on every
-    // seed topology, for both cost metrics, on full and masked views.
-    // The set spans the selection threshold: heavy-hex-127 sits above
-    // kDenseDistanceMaxQubits, everything else below.
-    bool saw_small = false;
-    bool saw_large = false;
-    for (const hw::Device &device : seedTopologyDevices()) {
-        (device.numQubits() <= kDenseDistanceMaxQubits ? saw_small
-                                                       : saw_large) =
-            true;
+    // Fingerprints over all n^2 doubles of every seed topology, for
+    // both cost metrics on the full and a half-masked view, captured
+    // when a dense matrix served devices up to 64 qubits and an
+    // on-demand per-source Dijkstra served heavy-hex-127. One table
+    // now serves every size and must reproduce both bit for bit.
+    struct Pin
+    {
+        const char *name;
+        // [Reliability full, Reliability half, HopCount full,
+        //  HopCount half]
+        std::uint64_t fingerprints[4];
+    };
+    const Pin pins[] = {
+        {"linear-6",
+         {0xc2d90aceebeaded0ull, 0x0114246fce69fac8ull,
+          0xeb752ecf3d474751ull, 0x6c5d72c072333133ull}},
+        {"ring-8",
+         {0x51b638d9ea8aeaefull, 0xb564677b39f3c743ull,
+          0xc107f9697a1b8c51ull, 0x70154c495d81fd75ull}},
+        {"grid-3x4",
+         {0x77d755aacbc9e168ull, 0x18817348e00eb530ull,
+          0x2862fb3f85b6add1ull, 0xce657bfb60edb4c6ull}},
+        {"full-5",
+         {0x20369521382d896dull, 0x2dd446bf17f37b13ull,
+          0xf5f1e209659f26b2ull, 0x40fdc92ba79cbd58ull}},
+        {"melbourne",
+         {0x654e19930bd71463ull, 0xce82ca64b5f0bc72ull,
+          0x9cbae6190a89c66cull, 0xfa387fb7575f20b0ull}},
+        {"tokyo",
+         {0x7d4bd5dfb8a137d4ull, 0xb2247ad3af01c332ull,
+          0xe89afb301091b471ull, 0xd3c394b3c09e053full}},
+        {"heavy-hex-27",
+         {0xf982b05d9e0d88e7ull, 0x4f72261ebbc0f135ull,
+          0x15ef3bb5d429609full, 0x8b9dbfc788934ef6ull}},
+        {"heavy-hex-127",
+         {0x821badcd17f4405eull, 0xc992233fad692135ull,
+          0x47c8909eea54d3d3ull, 0x805eb3a0ed07c848ull}},
+    };
+    const std::vector<hw::Device> devices = seedTopologyDevices();
+    ASSERT_EQ(devices.size(), std::size(pins));
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+        const hw::Device &device = devices[d];
+        ASSERT_EQ(device.name(), pins[d].name);
         const hw::DeviceView full(device);
-        // A contiguous half-device mask (index-contiguous is enough:
-        // distances through excluded qubits must go unreachable or
-        // reroute identically in both implementations).
+        // A contiguous half-device mask: distances through excluded
+        // qubits must go unreachable or reroute.
         std::vector<int> half;
         for (int q = 0; q < device.numQubits() / 2 + 1; ++q)
             half.push_back(q);
         const hw::DeviceView masked(device, half);
+        int slot = 0;
         for (const RouteCost cost :
              {RouteCost::Reliability, RouteCost::HopCount}) {
             for (const hw::DeviceView *view : {&full, &masked}) {
-                const DenseDistanceProvider dense(*view, cost);
-                const OnDemandDistanceProvider lazy(*view, cost);
+                const auto table = sharedDistanceProvider(*view, cost);
+                // Memoized per view fingerprint: same view, same table.
+                EXPECT_EQ(table.get(),
+                          sharedDistanceProvider(*view, cost).get());
+                Fingerprint fp;
                 for (int a = 0; a < device.numQubits(); ++a) {
-                    for (int b = 0; b < device.numQubits(); ++b) {
-                        EXPECT_EQ(dense.distance(a, b),
-                                  lazy.distance(a, b))
-                            << device.name() << " a=" << a
-                            << " b=" << b;
-                    }
+                    for (int b = 0; b < device.numQubits(); ++b)
+                        fp.add(table->distance(a, b));
                 }
+                EXPECT_EQ(fp.value(), pins[d].fingerprints[slot])
+                    << device.name() << " slot " << slot;
+                ++slot;
             }
         }
     }
-    EXPECT_TRUE(saw_small);
-    EXPECT_TRUE(saw_large);
-}
-
-TEST(DistanceProvider, SharedProviderSelectsByDeviceSize)
-{
-    const hw::Device small = hw::Device::melbourne(2);
-    const hw::DeviceView small_view(small);
-    ASSERT_LE(small.numQubits(), kDenseDistanceMaxQubits);
-    const auto small_provider =
-        sharedDistanceProvider(small_view, RouteCost::Reliability);
-    EXPECT_NE(dynamic_cast<const DenseDistanceProvider *>(
-                  small_provider.get()),
-              nullptr);
-    // The dense path must be bit-identical to the raw matrix.
-    const auto matrix =
-        distanceMatrix(small, RouteCost::Reliability);
-    for (int a = 0; a < small.numQubits(); ++a) {
-        for (int b = 0; b < small.numQubits(); ++b)
-            EXPECT_EQ(small_provider->distance(a, b), matrix[a][b]);
-    }
-
-    const hw::Device large = hw::Device::synthetic(
-        "heavy-hex-127", hw::Topology::heavyHex127(),
-        hw::CalibrationSpec{}, hw::NoiseSpec{}, 17);
-    const hw::DeviceView large_view(large);
-    const auto large_provider =
-        sharedDistanceProvider(large_view, RouteCost::Reliability);
-    EXPECT_NE(dynamic_cast<const OnDemandDistanceProvider *>(
-                  large_provider.get()),
-              nullptr);
-    // Memoized per view fingerprint: same view, same provider object.
-    EXPECT_EQ(large_provider.get(),
-              sharedDistanceProvider(large_view,
-                                     RouteCost::Reliability)
-                  .get());
-}
-
-TEST(DistanceProvider, OnDemandComputesOnlyQueriedRows)
-{
-    const hw::Device large = hw::Device::synthetic(
-        "heavy-hex-127", hw::Topology::heavyHex127(),
-        hw::CalibrationSpec{}, hw::NoiseSpec{}, 17);
-    const hw::DeviceView view(large);
-    const OnDemandDistanceProvider lazy(view, RouteCost::HopCount);
-    EXPECT_EQ(lazy.rowsComputed(), 0u);
-    lazy.distance(3, 99);
-    EXPECT_EQ(lazy.rowsComputed(), 1u);
-    lazy.distance(3, 4); // same source row, no new work
-    EXPECT_EQ(lazy.rowsComputed(), 1u);
-    lazy.distance(100, 3);
-    EXPECT_EQ(lazy.rowsComputed(), 2u);
 }
 
 TEST(DistanceProvider, MaskedPairsAreUnreachable)
 {
     const hw::Device device = hw::Device::melbourne(2);
     const hw::DeviceView view(device, {0, 1, 2});
-    const DenseDistanceProvider dense(view, RouteCost::HopCount);
-    EXPECT_EQ(dense.distance(0, 7), kUnreachableDistance);
-    EXPECT_EQ(dense.distance(7, 0), kUnreachableDistance);
-    EXPECT_LT(dense.distance(0, 2), kUnreachableDistance);
+    const DistanceTable table(view, RouteCost::HopCount);
+    EXPECT_EQ(table.distance(0, 7), kUnreachableDistance);
+    EXPECT_EQ(table.distance(7, 0), kUnreachableDistance);
+    EXPECT_LT(table.distance(0, 2), kUnreachableDistance);
 }
 
 TEST(TopPlacements, FullMaskIsBitIdenticalToNoMask)
@@ -897,6 +881,36 @@ TEST(Transpiler, FullViewCompileMatchesDeviceCompile)
     EXPECT_EQ(a.swapCount, b.swapCount);
     EXPECT_EQ(a.esp, b.esp); // bit-identical
     EXPECT_EQ(a.physical.toQasm(), b.physical.toQasm());
+}
+
+TEST(Transpiler, HeavyHex127CompileHitsTheCircuitCap)
+{
+    // README, "Region-scoped compilation": placement runs on the
+    // 127-qubit lattice, but the routed output spans the whole device
+    // register and a Circuit holds at most 64 qubits, so both routers
+    // refuse it with the Circuit constructor's error.
+    const hw::Device device = hw::Device::synthetic(
+        "heavy-hex-127", hw::Topology::heavyHex127(),
+        hw::CalibrationSpec{}, hw::NoiseSpec{}, 17);
+    const Circuit logical = benchmarks::qaoaMaxcutPath(7).circuit;
+    auto expectCapError = [](const std::function<void()> &compile) {
+        try {
+            compile();
+            ADD_FAILURE() << "no error above the 64-qubit cap";
+        } catch (const UserError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "circuit qubit count must be in [1, 64]"),
+                      std::string::npos)
+                << err.what();
+        }
+    };
+    expectCapError([&] { (void)Transpiler(device).compile(logical); });
+    std::vector<int> initial_map(
+        static_cast<std::size_t>(logical.numQubits()));
+    std::iota(initial_map.begin(), initial_map.end(), 0);
+    expectCapError([&] {
+        (void)LookaheadRouter(device).route(logical, initial_map);
+    });
 }
 
 TEST(Vf2, MaskRestrictsEmbeddingTargets)

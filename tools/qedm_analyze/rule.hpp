@@ -75,7 +75,6 @@ struct RuleProfile
     bool stdoutDiscipline = false;
     bool pragmaOnce = true;
     bool nakedNew = true;
-    bool denseDistance = false;
     bool unorderedIteration = false;
     bool localStatic = false;
     bool floatAccumulate = false;

@@ -389,42 +389,6 @@ class NakedNewRule final : public FileRule
     }
 };
 
-class DenseDistanceRule final : public FileRule
-{
-  public:
-    DenseDistanceRule()
-        : FileRule("dense-distance",
-                   "library code goes through "
-                   "sharedDistanceProvider so 433-qubit topologies "
-                   "never allocate an O(n^2) matrix")
-    {
-    }
-    bool appliesTo(const std::string &,
-                   const RuleProfile &p) const override
-    {
-        return p.denseDistance;
-    }
-    void check(const FileScan &scan,
-               std::vector<Finding> &out) const override
-    {
-        const auto code = codeTokens(scan);
-        for (const std::size_t i : code) {
-            const Token &t = scan.tokens[i];
-            if (isIdent(t, "distanceMatrix") ||
-                isIdent(t, "sharedDistanceMatrix")) {
-                out.push_back(Finding{
-                    scan.rel_path, t.line, {},
-                    t.text +
-                        " accesses the dense all-pairs matrix "
-                        "directly; go through "
-                        "sharedDistanceProvider so large devices "
-                        "stay on the on-demand path",
-                    {}, 0});
-            }
-        }
-    }
-};
-
 class UnorderedIterationRule final : public FileRule
 {
   public:
@@ -868,7 +832,6 @@ profileFor(const std::string &rel_path)
     if (underDir(rel_path, "src")) {
         p.assertDiscipline = true;
         p.stdoutDiscipline = true;
-        p.denseDistance = true;
         p.localStatic = true;
         p.wallClock = true;
     }
@@ -890,8 +853,6 @@ profileFor(const std::string &rel_path)
     // matcher are preallocated by design (DESIGN.md §18).
     if (underDir(rel_path, "src/transpile"))
         p.hotPathAlloc = true;
-    if (rel_path.rfind("src/transpile/distances", 0) == 0)
-        p.denseDistance = false; // the provider's own home
     if (rel_path.rfind("src/runtime/clock", 0) == 0) {
         p.wallClockExemptReason =
             "the sanctioned Clock implementation: the one place the "
@@ -909,7 +870,6 @@ RuleRegistry::RuleRegistry()
     add(std::make_unique<StdoutDisciplineRule>());
     add(std::make_unique<PragmaOnceRule>());
     add(std::make_unique<NakedNewRule>());
-    add(std::make_unique<DenseDistanceRule>());
     add(std::make_unique<UnorderedIterationRule>());
     add(std::make_unique<LocalStaticRule>());
     add(std::make_unique<FloatAccumulateRule>());
