@@ -609,6 +609,24 @@ runCompileSweep()
              timeBestNs(
                  [&] { benchmark::DoNotOptimize(builder.build(logical)); },
                  5, 1));
+        // The grid-recompile shape: one build per drifted calibration.
+        // The seed pattern's two isolated vertices make every pick's
+        // search end in unanchored depths, whose children come from
+        // presorted host lists and whose pruned siblings are cut in
+        // bulk (DESIGN.md §18).
+        std::vector<hw::Device> drifted;
+        Rng drift(5);
+        for (int round = 0; round < 5; ++round)
+            drifted.push_back(grid.driftedRound(drift));
+        emit("ensemble_build_grid_bv6_drift5",
+             timeBestNs(
+                 [&] {
+                     for (const hw::Device &d : drifted) {
+                         benchmark::DoNotOptimize(
+                             core::EnsembleBuilder(d).build(logical));
+                     }
+                 },
+                 5, 1));
     }
 }
 

@@ -111,33 +111,35 @@ runShotUnits(const hw::Device &device, const EdmConfig &config,
     const sim::Executor executor(device);
     const resilience::FaultInjector injector(res.faults, fault_root);
 
+    // Per-member fault plans, decided before any tape is built.
+    std::vector<resilience::MemberFaultPlan> plans(count);
+    for (std::size_t m = 0; m < count; ++m)
+        plans[m] = injector.memberPlan(m, splits[m]);
+
     // Tapes are immutable and shared across all batches of a member;
     // building one is independent of the others, so members fan out
-    // over the scheduler into pre-assigned slots.
+    // over the scheduler into pre-assigned slots. Each slot builds the
+    // one tape its member runs: a stale member executes against its
+    // own perturbed device snapshot (never cached), every other member
+    // against the device's cached or freshly built tape.
     std::vector<std::shared_ptr<const sim::ExecutionTape>> tapes(count);
-    scheduler.parallelFor(count, [&](std::size_t m) {
-        tapes[m] = config.tapeCache != nullptr
-                       ? config.tapeCache->get(device, *physical[m])
-                       : std::make_shared<const sim::ExecutionTape>(
-                             sim::ExecutionTape::build(device,
-                                                       *physical[m]));
-    });
-
-    // Per-member fault plans. Stale members execute against their own
-    // perturbed device snapshot (fresh tape, never cached).
-    std::vector<resilience::MemberFaultPlan> plans(count);
     std::vector<std::optional<sim::Executor>> stale_execs(count);
-    for (std::size_t m = 0; m < count; ++m) {
-        plans[m] = injector.memberPlan(m, splits[m]);
+    scheduler.parallelFor(count, [&](std::size_t m) {
         if (plans[m].stale) {
             Rng stale_rng(plans[m].staleSeed);
-            const hw::Device stale = device.withStaleCalibration(
+            hw::Device stale = device.withStaleCalibration(
                 stale_rng, res.faults.stalenessSeverity);
             tapes[m] = std::make_shared<const sim::ExecutionTape>(
                 sim::ExecutionTape::build(stale, *physical[m]));
-            stale_execs[m].emplace(stale);
+            stale_execs[m].emplace(std::move(stale));
+        } else {
+            tapes[m] = config.tapeCache != nullptr
+                           ? config.tapeCache->get(device, *physical[m])
+                           : std::make_shared<const sim::ExecutionTape>(
+                                 sim::ExecutionTape::build(
+                                     device, *physical[m]));
         }
-    }
+    });
     const auto executorFor = [&](std::size_t m) -> const sim::Executor & {
         return stale_execs[m] ? *stale_execs[m] : executor;
     };

@@ -1,9 +1,9 @@
 #include "transpile/placement_search.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -150,9 +150,15 @@ struct PlacementSearchPlan::Impl
     /** edgeLogTab[e * numEdges(target) + de] = cost.edgeLog(e, de). */
     std::vector<double> edgeLogTab;
 
-    /** Root frontier: feasible hosts of order[0], best optimistic
-     *  vertex score first (warms the bound early), ties ascending. */
-    std::vector<int> rootCandidates;
+    /**
+     * Per pattern vertex: its feasible hosts, best vertexLog first,
+     * ties by ascending host — entries [hostOff[v], hostOff[v + 1])
+     * of hostsByScore. order[0]'s list is the root frontier (best
+     * first warms the bound early); an unanchored depth reads its
+     * vertex's list instead of sorting its children at every node.
+     */
+    std::vector<int> hostOff;
+    std::vector<int> hostsByScore;
 
     Impl(const hw::Topology &pattern_graph,
          const PlacementCostModel &cost,
@@ -168,7 +174,7 @@ struct PlacementSearchPlan::Impl
         buildOrder();
         buildTables(cost);
         buildBounds();
-        buildRoots();
+        buildHostLists();
     }
 
     bool feasibleBit(int v, int t) const
@@ -185,6 +191,14 @@ struct PlacementSearchPlan::Impl
                          (static_cast<std::size_t>(t) >> 6)] >>
                 (static_cast<std::size_t>(t) & 63)) &
                1U;
+    }
+
+    /** Feasible hosts of pattern vertex @p v, best vertexLog first. */
+    std::span<const int> hosts(int v) const
+    {
+        const auto vi = static_cast<std::size_t>(v);
+        return {hostsByScore.data() + hostOff[vi],
+                static_cast<std::size_t>(hostOff[vi + 1] - hostOff[vi])};
     }
 
   private:
@@ -420,32 +434,32 @@ struct PlacementSearchPlan::Impl
     }
 
     void
-    buildRoots()
+    buildHostLists()
     {
-        if (order.empty())
-            return;
-        const int v0 = order.front();
-        rootCandidates.reserve(
-            static_cast<std::size_t>(feasibleCount[static_cast<
-                std::size_t>(v0)]));
-        for (int t = 0; t < numTarget; ++t) {
-            if (feasibleBit(v0, t))
-                rootCandidates.push_back(t);
+        const auto np = static_cast<std::size_t>(numPattern);
+        const auto nt = static_cast<std::size_t>(numTarget);
+        hostOff.assign(np + 1, 0);
+        for (std::size_t v = 0; v < np; ++v)
+            hostOff[v + 1] = hostOff[v] + feasibleCount[v];
+        hostsByScore.resize(static_cast<std::size_t>(hostOff[np]));
+        for (int v = 0; v < numPattern; ++v) {
+            int *first = hostsByScore.data() +
+                         hostOff[static_cast<std::size_t>(v)];
+            int *last = first;
+            for (int t = 0; t < numTarget; ++t) {
+                if (feasibleBit(v, t))
+                    *last++ = t;
+            }
+            const double *vlog =
+                vertexLogTab.data() + static_cast<std::size_t>(v) * nt;
+            std::sort(first, last, [vlog](int a, int b) {
+                const double la = vlog[static_cast<std::size_t>(a)];
+                const double lb = vlog[static_cast<std::size_t>(b)];
+                if (la != lb)
+                    return la > lb;
+                return a < b;
+            });
         }
-        const double *vlog =
-            vertexLogTab.data() +
-            static_cast<std::size_t>(v0) *
-                static_cast<std::size_t>(numTarget);
-        std::sort(rootCandidates.begin(), rootCandidates.end(),
-                  [vlog](int a, int b) {
-                      const double la =
-                          vlog[static_cast<std::size_t>(a)];
-                      const double lb =
-                          vlog[static_cast<std::size_t>(b)];
-                      if (la != lb)
-                          return la > lb;
-                      return a < b;
-                  });
     }
 };
 
@@ -539,7 +553,7 @@ class Worker
         completions_ = 0;
         if (stats_ != nullptr)
             ++stats_->nodesVisited;
-        if (plan_.suffixBound[0] < threshold() - kBoundSlack) {
+        if (boundPrunes(plan_.suffixBound[0])) {
             if (stats_ != nullptr)
                 ++stats_->prunedBound;
             return;
@@ -645,7 +659,7 @@ class Worker
         // Leaf bound: partial (+ slack) upper-bounds the exact log
         // score — isolated-qubit factors only lower it — so a leaf
         // that cannot reach the K-th best skips the exact scorer.
-        if (partial < threshold() - kBoundSlack)
+        if (boundPrunes(partial))
             return;
         std::vector<int> canonical_map;
         double esp = 0.0;
@@ -684,6 +698,20 @@ class Worker
                    int *cand_host)
     {
         int nc = 0;
+        if (anchor_host < 0) {
+            // Start of a disconnected pattern component: every unused
+            // feasible host, no back edges to charge. The plan's list
+            // is already in child order, so this only filters it.
+            for (int t : plan_.hosts(v)) {
+                if (used_[static_cast<std::size_t>(t)] != 0 ||
+                    !admitted(t))
+                    continue;
+                cand_delta[nc] = vlog[static_cast<std::size_t>(t)];
+                cand_host[nc] = t;
+                ++nc;
+            }
+            return nc;
+        }
         const auto insert = [&](int t, double delta) {
             int pos = nc;
             while (pos > 0 && cand_delta[pos - 1] < delta) {
@@ -696,27 +724,6 @@ class Worker
             ++nc;
         };
         const std::size_t ne = plan_.targetEdges;
-        if (anchor_host < 0) {
-            // Start of a disconnected pattern component: every unused
-            // feasible host, no back edges to charge.
-            const std::uint64_t *row =
-                plan_.feasible.data() +
-                static_cast<std::size_t>(v) * plan_.words;
-            for (std::size_t w = 0; w < plan_.words; ++w) {
-                std::uint64_t bits = row[w];
-                while (bits != 0) {
-                    const int t = static_cast<int>(
-                        (w << 6) + static_cast<std::size_t>(
-                                       std::countr_zero(bits)));
-                    bits &= bits - 1;
-                    if (used_[static_cast<std::size_t>(t)] != 0 ||
-                        !admitted(t))
-                        continue;
-                    insert(t, vlog[static_cast<std::size_t>(t)]);
-                }
-            }
-            return nc;
-        }
         // Connected expansion: candidates are the neighbors of the
         // first already-placed pattern neighbor, iterated with their
         // incident device edge so the first back edge charges its
@@ -764,6 +771,72 @@ class Worker
         return nc;
     }
 
+    /** The anchor of @p depth — the earlier pattern neighbor its
+     *  candidates must be adjacent to — or -1 when @p depth starts a
+     *  disconnected component. */
+    int
+    anchorOf(std::size_t depth) const
+    {
+        if (plan_.backOff[depth] == plan_.backOff[depth + 1])
+            return -1;
+        return plan_.backVertex[static_cast<std::size_t>(
+            plan_.backOff[depth])];
+    }
+
+    /** Host of pattern vertex @p v, -1 while unplaced (or for -1). */
+    int
+    hostOf(int v) const
+    {
+        return v < 0 ? -1 : map_[static_cast<std::size_t>(v)];
+    }
+
+    /** Optimistic log score of a node at @p depth holding @p partial:
+     *  the partial itself at a leaf (complete()'s bound), else partial
+     *  + what @p depth can claim + the suffix bound beyond it. An
+     *  anchored depth claims its anchor-conditioned bound (its host
+     *  must neighbor @p anchor_host), an unanchored one the static
+     *  per-depth best. Both are admissible; the conditioned one is far
+     *  tighter. */
+    double
+    optimistic(std::size_t depth, double partial, int anchor_host) const
+    {
+        if (depth == plan_.order.size())
+            return partial;
+        const std::size_t nt =
+            static_cast<std::size_t>(plan_.numTarget);
+        const double avail =
+            anchor_host < 0
+                ? plan_.depthBest[depth]
+                : plan_.anchorBound[depth * nt +
+                                    static_cast<std::size_t>(anchor_host)];
+        return partial + avail + plan_.suffixBound[depth + 1];
+    }
+
+    bool
+    boundPrunes(double optimistic_log) const
+    {
+        return optimistic_log < threshold() - kBoundSlack;
+    }
+
+    /** Count @p left sibling calls at @p depth as made, each pruned by
+     *  its own bound test: a leaf completion each until the per-root
+     *  limit binds, else a visited node pruned by bound each. */
+    // qedm:hot
+    void
+    chargePruned(std::size_t depth, std::uint64_t left)
+    {
+        if (depth == plan_.order.size()) {
+            const std::uint64_t n = std::min<std::uint64_t>(
+                left, static_cast<std::uint64_t>(limit_) - completions_);
+            completions_ += n;
+            if (stats_ != nullptr)
+                stats_->completions += n;
+        } else if (stats_ != nullptr) {
+            stats_->nodesVisited += left;
+            stats_->prunedBound += left;
+        }
+    }
+
     // qedm:hot
     void
     recurse(std::size_t depth, double partial)
@@ -776,35 +849,17 @@ class Worker
         }
         if (stats_ != nullptr)
             ++stats_->nodesVisited;
-        // Prune against the anchor-conditioned bound when this depth
-        // is anchored (its host must neighbor the anchor's), falling
-        // back to the static per-depth best otherwise. Both are
-        // admissible; the conditioned one is far tighter.
-        const std::size_t nt =
-            static_cast<std::size_t>(plan_.numTarget);
-        int anchor_host = -1;
-        double avail;
-        if (plan_.backOff[depth] < plan_.backOff[depth + 1]) {
-            const int anchor = plan_.backVertex[
-                static_cast<std::size_t>(plan_.backOff[depth])];
-            anchor_host = map_[static_cast<std::size_t>(anchor)];
-            avail = plan_.anchorBound[depth * nt +
-                                      static_cast<std::size_t>(
-                                          anchor_host)];
-        } else {
-            avail = plan_.depthBest[depth];
-        }
-        if (partial + avail + plan_.suffixBound[depth + 1] <
-            threshold() - kBoundSlack) {
+        const int anchor_host = hostOf(anchorOf(depth));
+        if (boundPrunes(optimistic(depth, partial, anchor_host))) {
             if (stats_ != nullptr)
                 ++stats_->prunedBound;
             return;
         }
         const int v = plan_.order[depth];
+        const std::size_t nt =
+            static_cast<std::size_t>(plan_.numTarget);
         const double *vlog =
-            plan_.vertexLogTab.data() +
-            static_cast<std::size_t>(v) *
-                static_cast<std::size_t>(plan_.numTarget);
+            plan_.vertexLogTab.data() + static_cast<std::size_t>(v) * nt;
         // Per-depth scratch slice — recursion below this depth uses
         // deeper slices, so the candidate list survives the loop.
         const std::size_t base = (depth - 1) * nt;
@@ -812,8 +867,28 @@ class Worker
         int *cand_host = candHost_.data() + base;
         const int nc = gatherChildren(depth, v, anchor_host, vlog,
                                       cand_delta, cand_host);
+        // Sorted-sibling cutoff: children come in descending delta and
+        // rounded addition is monotone, so once a child fails the
+        // bound test its own call would run first, every later sibling
+        // fails it too — when that test is the same expression for all
+        // of them: at a leaf, at an unanchored next depth, and at one
+        // anchored on an earlier depth. A next depth anchored on v
+        // reads the bound row of each child's host, so each child runs
+        // its own test.
+        const std::size_t next = depth + 1;
+        const int next_anchor =
+            next == plan_.order.size() ? -1 : anchorOf(next);
+        const bool cutoff = next_anchor != v;
+        const int next_anchor_host = hostOf(next_anchor);
         for (int j = 0; j < nc; ++j) {
-            descend(depth, v, cand_host[j], partial + cand_delta[j]);
+            const double child_partial = partial + cand_delta[j];
+            if (cutoff &&
+                boundPrunes(
+                    optimistic(next, child_partial, next_anchor_host))) {
+                chargePruned(next, static_cast<std::uint64_t>(nc - j));
+                return;
+            }
+            descend(depth, v, cand_host[j], child_partial);
             if (completions_ >= limit_)
                 return;
         }
@@ -940,8 +1015,10 @@ topKPlacements(const PlacementSearchPlan &plan,
     // roots spend it all (DESIGN.md §18).
     const PlanImpl &impl = *plan.impl_;
     Worker worker(impl, scorer, k, limit, stats, constraint);
-    for (int t : impl.rootCandidates)
-        worker.searchRoot(t);
+    if (!impl.order.empty()) {
+        for (int t : impl.hosts(impl.order.front()))
+            worker.searchRoot(t);
+    }
     return worker.take();
 }
 

@@ -18,7 +18,18 @@
  *    targets first) within connected expansion, shrinking the branch
  *    factor near the root;
  *  - per-vertex and per-edge optimistic suffix bounds (best factor on
- *    the device, counted per remaining gate) close the bound.
+ *    the device, counted per remaining gate) close the bound;
+ *  - children are explored best delta first, so once one fails the
+ *    bound test its own call would run first, every later sibling
+ *    fails it too: the loop stops there and counts the rest as the
+ *    calls would have (a completion each at a leaf, up to the per-root
+ *    limit; a visited, bound-pruned node each elsewhere). It does so
+ *    wherever that test is the same for every sibling — at a leaf, and
+ *    before any depth whose anchor is not the vertex being placed;
+ *  - a depth with no placed pattern neighbor (the start of a
+ *    disconnected component, e.g. an isolated data qubit) reads its
+ *    vertex's feasible hosts from a list the plan presorts by vertex
+ *    score, instead of sorting them at every node.
  *
  * Exact scores of surviving completions are recomputed with the
  * product-form EspModel trace walk — bit-identical to scoring the
@@ -186,11 +197,13 @@ using EmbeddingScorer =
 /**
  * Precompiled search state for one (pattern, cost model, mask)
  * triple: feasibility bitsets, the matching order with flattened back
- * edges, dense log tables, admissible suffix bounds, and the sorted
- * root frontier. Building this is a double-digit-microsecond pass on
- * a 127-qubit device, so callers that search repeatedly (the
- * ensemble builder, the Placer's per-circuit memo, benches) build the
- * plan once and pass it to every topKPlacements call.
+ * edges, dense log tables, admissible suffix bounds, and each pattern
+ * vertex's feasible hosts sorted by vertex score (the first vertex's
+ * list is the root frontier). Building this is a double-digit-
+ * microsecond pass on a 127-qubit device, so callers that search
+ * repeatedly (the ensemble builder, the Placer's per-circuit memo,
+ * benches) build the plan once and pass it to every topKPlacements
+ * call.
  *
  * The plan holds references into @p pattern and @p cost_model (and
  * the cost model's EspModel); both must outlive it. It is immutable

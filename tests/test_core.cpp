@@ -986,6 +986,101 @@ TEST(EnsembleBuilder, BuildSearchEffortIsSmallAndReproducible)
     EXPECT_EQ(second.prunedSignature, first.prunedSignature);
 }
 
+TEST(EnsembleBuilder, GridBv6DriftedBuildsPinned)
+{
+    // bv-6 on the grid-recompile device over five drifted rounds. Its
+    // routed seed pattern is a star plus two isolated vertices, so
+    // every pick's search ends in unanchored depths: presorted host
+    // lists and the sorted-sibling cutoff. Members and the summed
+    // search counters are pinned to values captured from the
+    // per-child search, which the cutoff must reproduce exactly.
+    struct Member
+    {
+        std::uint64_t fingerprint;
+        double esp;
+        std::vector<int> initialMap;
+    };
+    const std::vector<std::vector<Member>> expected = {
+        {
+            {0x5095f205b21cbabdull, 0.6829570920636876,
+             {35, 44, 21, 26, 42, 51, 43}},
+            {0x11f5d13f2f6db751ull, 0.66867583023189925,
+             {37, 44, 21, 26, 46, 53, 45}},
+            {0x7818bf6d56af175aull, 0.66685234232307788,
+             {44, 60, 21, 18, 51, 53, 52}},
+            {0x0d466038e7cb1f7eull, 0.6609070209474639,
+             {12, 19, 18, 26, 28, 21, 20}},
+        },
+        {
+            {0x21a3032864b4d9a9ull, 0.70217958010541015,
+             {42, 35, 18, 26, 44, 51, 43}},
+            {0x2d451563c6e60d96ull, 0.65989234888758252,
+             {12, 21, 18, 26, 19, 28, 20}},
+            {0x9f5295a002fa3b85ull, 0.65926445338663953,
+             {62, 53, 26, 18, 55, 46, 54}},
+            {0xdd1130a847b7b54dull, 0.64512006092303831,
+             {29, 31, 26, 18, 38, 22, 30}},
+        },
+        {
+            {0x63759e208ff512f7ull, 0.67906643673803746,
+             {42, 51, 18, 26, 44, 35, 43}},
+            {0xc354df4573e27211ull, 0.6685463948918835,
+             {53, 62, 26, 18, 46, 55, 54}},
+            {0x592dfee5d455e82bull, 0.66386514557844556,
+             {19, 28, 18, 26, 21, 12, 20}},
+            {0x11d38d48e5f342fdull, 0.65332203918570131,
+             {44, 60, 21, 20, 51, 53, 52}},
+        },
+        {
+            {0x28d567bb16266740ull, 0.68951192733764743,
+             {35, 42, 18, 26, 44, 51, 43}},
+            {0x55dedc09c107393dull, 0.67941447261337684,
+             {12, 19, 18, 26, 21, 28, 20}},
+            {0xe2aee79e62343e6dull, 0.67355692863239847,
+             {38, 54, 18, 26, 47, 45, 46}},
+            {0x0b62e482e9fdb6aaull, 0.66826886449770373,
+             {51, 60, 57, 58, 44, 53, 52}},
+        },
+        {
+            {0x26e66d5c3e69d865ull, 0.68023933104345946,
+             {44, 51, 26, 18, 35, 42, 43}},
+            {0xf2d94873d692f786ull, 0.678147122829448,
+             {28, 19, 18, 26, 21, 12, 20}},
+            {0x48430ef207382588ull, 0.66924782172532538,
+             {53, 46, 26, 18, 55, 62, 54}},
+            {0x646a97c92b7a62edull, 0.64772149612596708,
+             {29, 31, 26, 18, 22, 38, 30}},
+        },
+    };
+    const hw::Device base = gridDevice();
+    const Circuit logical = benchmarks::bv6().circuit;
+    Rng drift(5);
+    transpile::PlacementSearchStats total;
+    for (std::size_t round = 0; round < expected.size(); ++round) {
+        const hw::Device device = base.driftedRound(drift);
+        const Programs members =
+            EnsembleBuilder(device).build(logical, &total);
+        ASSERT_EQ(members.size(), expected[round].size())
+            << "round " << round;
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            const std::string at =
+                "round " + std::to_string(round) + " member " +
+                std::to_string(m);
+            EXPECT_EQ(members[m].physical.fingerprint(),
+                      expected[round][m].fingerprint)
+                << at;
+            EXPECT_EQ(members[m].esp, expected[round][m].esp) << at;
+            EXPECT_EQ(members[m].initialMap,
+                      expected[round][m].initialMap)
+                << at;
+        }
+    }
+    EXPECT_EQ(total.nodesVisited, 215427u);
+    EXPECT_EQ(total.completions, 80046u);
+    EXPECT_EQ(total.prunedBound, 190502u);
+    EXPECT_EQ(total.prunedSignature, 0u);
+}
+
 TEST(EnsembleEquivalence, HeavyHex27Region)
 {
     const hw::Device device = hw::Device::synthetic(

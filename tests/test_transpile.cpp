@@ -614,14 +614,17 @@ TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
 {
     // A constrained query returns the head of the exhaustive ranking
     // filtered to embeddings sharing at most maxShared hosts with each
-    // avoided set: at every cap, for a connected pattern and for one
-    // whose second component starts unanchored.
+    // avoided set: at every cap, for a connected pattern, for one
+    // whose second component starts unanchored, and for one ending in
+    // two isolated vertices (unanchored depths read presorted host
+    // lists and cut pruned siblings in bulk).
     const hw::Device device = hw::Device::melbourne(2);
     const auto model = sharedEspModel(device);
     const hw::Topology &topo = device.topology();
     const std::vector<hw::Topology> patterns = {
         hw::Topology(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
         hw::Topology(5, {{0, 1}, {1, 2}, {3, 4}}),
+        hw::Topology(5, {{0, 1}, {1, 2}}),
     };
     constexpr std::size_t k = 4;
     for (std::size_t c = 0; c < patterns.size(); ++c) {
@@ -689,6 +692,72 @@ TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
                     << at << " i=" << i;
             }
         }
+    }
+}
+
+TEST(TopPlacements, BindingLimitWithIsolatedVerticesPinned)
+{
+    // A path plus two isolated vertices: the last two depths are
+    // unanchored, so their children come from presorted host lists
+    // and pruned leaf siblings are counted in bulk. With a binding
+    // per-root limit that bulk count must stop exactly where one
+    // completion at a time did. Results and counters were captured
+    // from the per-child search.
+    const hw::Device device = hw::Device::melbourne(2);
+    const auto model = sharedEspModel(device);
+    const hw::Topology pattern(5, {{0, 1}, {1, 2}});
+    GateTrace trace;
+    for (int v = 0; v < pattern.numQubits(); ++v) {
+        trace.push_back({GateTerm::Kind::OneQubit, v, 0});
+        trace.push_back({GateTerm::Kind::Measure, v, 0});
+    }
+    for (const auto &edge : pattern.edges())
+        trace.push_back({GateTerm::Kind::TwoQubit, edge.a, edge.b});
+    const std::vector<int> identity = {0, 1, 2, 3, 4};
+    const PlacementCostModel cost(model, pattern, identity, trace);
+    const PlacementSearchPlan plan(pattern, cost);
+    const EmbeddingScorer scorer = [&](const std::vector<int> &emb,
+                                       std::vector<int> &map_out,
+                                       double &esp_out) {
+        map_out = emb;
+        esp_out = model->espOfTrace(trace, emb);
+    };
+    struct Pinned
+    {
+        std::size_t limit;
+        std::vector<std::pair<std::vector<int>, double>> top;
+        PlacementSearchStats stats;
+    };
+    const std::vector<Pinned> pinned = {
+        {2,
+         {{{6, 8, 9, 2, 0}, 0.83126143895594429},
+          {{6, 8, 9, 2, 13}, 0.82683346954163195},
+          {{0, 1, 2, 8, 6}, 0.81802087681328106}},
+         {50, 10, 12, 0}},
+        {13,
+         {{{6, 8, 9, 0, 2}, 0.83126143895594429},
+          {{6, 8, 9, 2, 0}, 0.83126143895594429},
+          {{6, 8, 9, 2, 13}, 0.82683346954163195}},
+         {52, 13, 25, 0}},
+        {100000,
+         {{{9, 8, 6, 0, 2}, 0.83126143895594451},
+          {{9, 8, 6, 2, 0}, 0.83126143895594451},
+          {{6, 8, 9, 0, 2}, 0.83126143895594429}},
+         {94, 70, 60, 0}},
+    };
+    for (const Pinned &p : pinned) {
+        const std::string at = "limit " + std::to_string(p.limit);
+        PlacementSearchStats stats;
+        const auto top = topKPlacements(plan, scorer, 3, p.limit, &stats);
+        ASSERT_EQ(top.size(), p.top.size()) << at;
+        for (std::size_t i = 0; i < top.size(); ++i) {
+            EXPECT_EQ(top[i].embedding, p.top[i].first) << at << " i=" << i;
+            EXPECT_EQ(top[i].esp, p.top[i].second) << at << " i=" << i;
+        }
+        EXPECT_EQ(stats.nodesVisited, p.stats.nodesVisited) << at;
+        EXPECT_EQ(stats.completions, p.stats.completions) << at;
+        EXPECT_EQ(stats.prunedBound, p.stats.prunedBound) << at;
+        EXPECT_EQ(stats.prunedSignature, p.stats.prunedSignature) << at;
     }
 }
 
