@@ -37,72 +37,51 @@ mul(Complex a, Complex b)
 }
 
 /**
- * Nonzero entries of an N x N superoperator, split into real and
- * imaginary parts for the inner loop. Zero entries would only add
- * exact zeros, so dropping them keeps the result while sparse
- * factors (CX-like permutations, diagonal phases, damping) cost a
- * fraction of a dense product.
+ * An N x N superoperator in column order (term i * N + o maps input i
+ * to output o), split into real and imaginary parts for the inner
+ * loop.
  */
 template <std::size_t N>
 struct Terms
 {
-    // Only the first n entries are read (all N * N when dense).
-    std::array<std::uint8_t, N * N> out;
-    std::array<std::uint8_t, N * N> in;
     std::array<double, N * N> re;
     std::array<double, N * N> im;
-    std::size_t n = 0;
 
     /** From row-major real and imaginary planes @p mr, @p mi. */
     Terms(const double *mr, const double *mi)
     {
-        // Column order: consecutive terms update different outputs,
-        // so their accumulations do not chain through one slot.
         for (std::size_t i = 0; i < N; ++i) {
             for (std::size_t o = 0; o < N; ++o) {
-                const double vr = mr[o * N + i];
-                const double vi = mi[o * N + i];
-                if (vr == 0.0 && vi == 0.0)
-                    continue;
-                out[n] = static_cast<std::uint8_t>(o);
-                in[n] = static_cast<std::uint8_t>(i);
-                re[n] = vr;
-                im[n] = vi;
-                ++n;
+                re[i * N + o] = mr[o * N + i];
+                im[i * N + o] = mi[o * N + i];
             }
         }
     }
 
-    /** w = M v over split re/im vectors of N entries. */
+    /**
+     * w = M v over split re/im vectors of N entries, through
+     * contiguous rows the compiler vectorizes across outputs. Each
+     * output sums its terms in ascending input order. A zero entry's
+     * term is ±0, and each sum starts at +0.0 and is never -0.0
+     * (x + y rounds an exact zero to +0.0), so zeros change no bit: a
+     * sparse factor gets the result of a loop over its nonzero terms
+     * alone. That holds only with no multiply-add fused (mul() above),
+     * which would round differently.
+     */
     void apply(const double *vr, const double *vi, double *wr,
                double *wi) const
     {
         std::fill(wr, wr + N, 0.0);
         std::fill(wi, wi + N, 0.0);
-        if (n == N * N) {
-            // Dense: term t is (in t / N, out t % N), so the same
-            // terms reach each output in the same order through
-            // contiguous rows the compiler vectorizes across outputs
-            // — the indexed loop's result, bit for bit. That holds
-            // only with no multiply-add fused (mul() above), which
-            // would round differently.
-            for (std::size_t i = 0; i < N; ++i) {
-                const double xr = vr[i];
-                const double xi = vi[i];
-                const double *ar = &re[i * N];
-                const double *ai = &im[i * N];
-                for (std::size_t o = 0; o < N; ++o) {
-                    wr[o] += ar[o] * xr - ai[o] * xi;
-                    wi[o] += ar[o] * xi + ai[o] * xr;
-                }
+        for (std::size_t i = 0; i < N; ++i) {
+            const double xr = vr[i];
+            const double xi = vi[i];
+            const double *ar = &re[i * N];
+            const double *ai = &im[i * N];
+            for (std::size_t o = 0; o < N; ++o) {
+                wr[o] += ar[o] * xr - ai[o] * xi;
+                wi[o] += ar[o] * xi + ai[o] * xr;
             }
-            return;
-        }
-        for (std::size_t t = 0; t < n; ++t) {
-            const double xr = vr[in[t]];
-            const double xi = vi[in[t]];
-            wr[out[t]] += re[t] * xr - im[t] * xi;
-            wi[out[t]] += re[t] * xi + im[t] * xr;
         }
     }
 };
@@ -143,7 +122,8 @@ identity1q()
 // rounds an exact zero to +0.0), so adding it changes no bit.
 // unitary2q's entries are assignments, not sums; a skipped one stays
 // +0.0 where the product may have been -0.0, and every reader of them
-// (Terms, withLocalFirst) drops ±0 alike.
+// treats ±0 alike: withLocalFirst skips both, and a ±0 entry of Terms
+// adds a ±0 term.
 
 inline bool
 isZero(Complex v)
