@@ -123,7 +123,7 @@ BM_ExactDistributionBv6(benchmark::State &state)
 }
 BENCHMARK(BM_ExactDistributionBv6);
 
-/** 8 active qubits: the member shape that dominates the tape layer. */
+/** 8 active qubits: the largest exact-law register. */
 void
 BM_ExactDistributionBv7(benchmark::State &state)
 {
@@ -443,7 +443,7 @@ runSimKernelSweep()
                               },
                               50));
         // bv-7 compiles to 8 active qubits, the largest exact-law
-        // register and the member shape that dominates the tape layer.
+        // register.
         const auto tape_bv7 = sim::ExecutionTape::build(
             device, compiler.compile(benchmarks::bv7().circuit).physical);
         emit("exact_bv7", timeBestNs(
@@ -452,6 +452,17 @@ runSimKernelSweep()
                                       tape_bv7, device.calibration()));
                               },
                               50));
+        // qaoa-7 lists its closing Rx mixers after every CX: the member
+        // shape that gains most from finishing each qubit at its last
+        // 2-qubit pass (DESIGN.md §19).
+        const auto tape_qaoa7 = sim::ExecutionTape::build(
+            device, compiler.compile(benchmarks::qaoa7().circuit).physical);
+        emit("exact_qaoa7", timeBestNs(
+                                [&] {
+                                    benchmark::DoNotOptimize(sim::exactLaw(
+                                        tape_qaoa7, device.calibration()));
+                                },
+                                50));
         // One round's trial budget drawn from that prebuilt law: the
         // guide-table sampler every exact-law trial goes through.
         emit("law_shots_bv7_16384",

@@ -19,6 +19,10 @@
  *
  *     rho -> (1 - 16p/15) rho + (4p/15) Tr_ab(rho) (x) I_ab.
  *
+ * Every pass maps a block through one straight loop over all of its
+ * superoperator's entries; a zero entry adds an exact zero, so a
+ * sparse factor gets the bits of a loop over its nonzero terms.
+ *
  * Sweeps visit only the block pairs that can be nonzero. Two qubit
  * masks bound the support of rho:
  *  - fresh: no pass has touched the qubit, so rho = rho' (x) |0><0|
@@ -90,9 +94,10 @@ class DensityMatrix
      * Flush qubit @p q's pending factor and drop its coherences (the
      * completely dephasing channel), marking it classical. Exact for
      * the measured law when every later factor on @p q is diagonal or
-     * phase-covariant (DESIGN.md §19). Afterwards a 2-qubit pass on
-     * @p q throws, and so does queueing a factor that couples its
-     * populations and coherences.
+     * phase-covariant; evolveDensityMatrix queues every factor on @p q
+     * first, so none follows (DESIGN.md §19). Afterwards a 2-qubit
+     * pass on @p q throws, and so does queueing a factor that couples
+     * its populations and coherences.
      */
     void dephase(int q);
 

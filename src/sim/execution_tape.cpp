@@ -58,6 +58,44 @@ applyJointFlip(stats::Distribution &dist, int bit_a, int bit_b, double p)
     }
 }
 
+/**
+ * Queue every 1-qubit factor @p op puts on a qubit @p accepts, in tape
+ * order. For a 1-qubit op that is its idle relaxation, gate,
+ * over-rotation, depolarizing and relaxation; for a 2-qubit op, what
+ * follows its pass: over-rotation, control phase, crosstalk kicks and
+ * relaxation. A 2-qubit op's idle relaxation flushes into its pass, so
+ * the caller queues it before that pass.
+ */
+template <typename Accepts>
+void
+queueOneQubitFactors(DensityMatrix &rho, const TapeOp &op, Accepts accepts)
+{
+    if (op.l1 < 0) {
+        if (!accepts(op.l0))
+            return;
+        for (const auto &[local, kraus] : op.preRelaxation)
+            rho.applyKraus1q(kraus, local);
+        rho.apply1q(op.gate1q, op.l0);
+        if (op.overRotation != 0.0)
+            rho.apply1q(op.overRotationMat, op.l0);
+        if (op.depolProb > 0.0)
+            rho.applyKraus1q(depolarizing1q(op.depolProb), op.l0);
+    } else {
+        if (op.overRotation != 0.0 && accepts(op.l1))
+            rho.apply1q(op.overRotationMat, op.l1);
+        if (op.controlPhase != 0.0 && accepts(op.l0))
+            rho.apply1q(op.controlPhaseMat, op.l0);
+        for (const auto &[spectator, kick] : op.crosstalk) {
+            if (accepts(spectator))
+                rho.apply1q(kick, spectator);
+        }
+    }
+    for (const auto &[local, kraus] : op.relaxation) {
+        if (accepts(local))
+            rho.applyKraus1q(kraus, local);
+    }
+}
+
 } // namespace
 
 DensityMatrix
@@ -70,54 +108,64 @@ evolveDensityMatrix(const ExecutionTape &tape)
                      "; use trajectory sampling (Executor::run) for "
                      "larger circuits");
 
-    // After its last op a qubit only sees crosstalk Rz kicks, idle and
-    // measurement relaxation, and the Z measurement: all diagonal or
-    // phase-covariant, so its coherences never reach the law and it is
-    // dephased right after that op (DESIGN.md §19).
-    std::vector<std::size_t> last_op(
-        static_cast<std::size_t>(tape.numLocal), tape.ops.size());
+    // A qubit is finished at its last 2-qubit pass (DESIGN.md §19).
+    // Everything the tape applies to it afterwards acts on it alone and
+    // so commutes with every factor on other qubits: it is queued right
+    // after that pass, in tape order, and the qubit is dephased, since
+    // its coherences can no longer reach the law. Later passes then
+    // skip its coherent half. Qubits with no pass stay fresh until the
+    // end.
+    const std::size_t n = static_cast<std::size_t>(tape.numLocal);
+    std::vector<std::size_t> last_pass(n, tape.ops.size());
     for (std::size_t i = 0; i < tape.ops.size(); ++i) {
-        last_op[static_cast<std::size_t>(tape.ops[i].l0)] = i;
-        if (tape.ops[i].l1 >= 0)
-            last_op[static_cast<std::size_t>(tape.ops[i].l1)] = i;
+        if (tape.ops[i].l1 >= 0) {
+            last_pass[static_cast<std::size_t>(tape.ops[i].l0)] = i;
+            last_pass[static_cast<std::size_t>(tape.ops[i].l1)] = i;
+        }
     }
-
-    // 1-qubit factors queue on their qubit; each 2-qubit op is one
-    // pass. Its depolarizing rides in that pass: the channel commutes
-    // with the local unitary kicks (over-rotation, control phase,
-    // crosstalk) that follow the gate on the tape, so applying it
-    // first changes nothing.
+    std::vector<char> finished(n, 0);
+    const auto unfinished = [&](int q) {
+        return !finished[static_cast<std::size_t>(q)];
+    };
     DensityMatrix rho(tape.numLocal);
+    const auto queueMeasureRelaxation = [&](const TapeMeasure &m) {
+        for (const auto &kraus : m.relaxation)
+            rho.applyKraus1q(kraus, m.local);
+    };
+
+    // Each 2-qubit op is one pass. Its depolarizing rides in that
+    // pass: the channel commutes with the local unitary kicks
+    // (over-rotation, control phase, crosstalk) that follow the gate on
+    // the tape, so applying it first changes nothing.
     for (std::size_t i = 0; i < tape.ops.size(); ++i) {
         const TapeOp &op = tape.ops[i];
-        for (const auto &[local, kraus] : op.preRelaxation)
-            rho.applyKraus1q(kraus, local);
-        if (op.l1 < 0) {
-            rho.apply1q(op.gate1q, op.l0);
-            if (op.overRotation != 0.0)
-                rho.apply1q(op.overRotationMat, op.l0);
-            if (op.depolProb > 0.0)
-                rho.applyKraus1q(depolarizing1q(op.depolProb), op.l0);
-        } else {
+        if (op.l1 >= 0) {
+            for (const auto &[local, kraus] : op.preRelaxation)
+                rho.applyKraus1q(kraus, local);
             rho.apply2q(op.gate2q, op.l0, op.l1, op.depolProb);
-            if (op.overRotation != 0.0)
-                rho.apply1q(op.overRotationMat, op.l1);
-            if (op.controlPhase != 0.0)
-                rho.apply1q(op.controlPhaseMat, op.l0);
-            for (const auto &[spectator, kick] : op.crosstalk)
-                rho.apply1q(kick, spectator);
         }
-        for (const auto &[local, kraus] : op.relaxation)
-            rho.applyKraus1q(kraus, local);
-        for (const int local : {op.l0, op.l1}) {
-            if (local >= 0 && last_op[static_cast<std::size_t>(local)] == i)
-                rho.dephase(local);
+        queueOneQubitFactors(rho, op, unfinished);
+        for (const int q : {op.l0, op.l1}) {
+            if (q < 0 || last_pass[static_cast<std::size_t>(q)] != i)
+                continue;
+            const auto on_q = [q](int local) { return local == q; };
+            for (std::size_t j = i + 1; j < tape.ops.size(); ++j)
+                queueOneQubitFactors(rho, tape.ops[j], on_q);
+            for (const auto &m : tape.measures) {
+                if (m.local == q)
+                    queueMeasureRelaxation(m);
+            }
+            rho.dephase(q);
+            finished[static_cast<std::size_t>(q)] = 1;
         }
     }
     for (const auto &m : tape.measures) {
-        for (const auto &kraus : m.relaxation)
-            rho.applyKraus1q(kraus, m.local);
+        if (unfinished(m.local))
+            queueMeasureRelaxation(m);
     }
+    // Only the qubits without a pass are left: the rest is classical.
+    for (int q = 0; q < tape.numLocal; ++q)
+        rho.dephase(q);
     return rho;
 }
 

@@ -141,18 +141,20 @@ struct ExecutionTape
 
 /**
  * The fused density-matrix evolution behind exactLaw: every gate and
- * noise channel on @p tape through the measurement-window relaxation,
- * each qubit dephased right after its last op (DESIGN.md §19). Its
- * diagonal is the pre-readout law. At most 10 active qubits; throws
- * UserError above that.
+ * noise channel on @p tape through the measurement-window relaxation.
+ * Each qubit is finished at its last 2-qubit pass: every 1-qubit
+ * factor the tape applies to it later is queued right after that
+ * pass, in tape order, and the qubit is dephased. Qubits without a
+ * pass are dephased last (DESIGN.md §19). The result is diagonal, and
+ * its diagonal is the pre-readout law. At most 10 active qubits;
+ * throws UserError above that.
  */
 DensityMatrix evolveDensityMatrix(const ExecutionTape &tape);
 
 /**
  * Exact output distribution of @p tape's classical register under
- * @p cal: the fused density-matrix evolution of every gate and noise
- * channel on the tape (sim/density_matrix.hpp), projected onto the
- * measured clbits, then per-bit readout confusion and correlated pair
+ * @p cal: evolveDensityMatrix's law of every gate and noise channel
+ * on the tape, projected onto the measured clbits, then per-bit readout confusion and correlated pair
  * flips applied to the classical law. At most 10 active qubits (the
  * matrix holds 4^n entries); throws UserError above that.
  */
