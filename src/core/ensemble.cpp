@@ -292,12 +292,17 @@ selectGreedy(const Seed &seed, std::size_t want, double max_overlap,
     // The search orders by (esp, key, embedding). With the key
     // initialMap ++ relabel (initialMap has a fixed length) that is
     // candidateBefore, and the relabeling already decides the
-    // embedding.
+    // embedding. A score below the admission floor never reads its
+    // key, so it skips the relabeling too.
     CandidateRecord scratch;
     const transpile::EmbeddingScorer scorer =
-        [&](const std::vector<int> &embedding, std::vector<int> &key,
-            double &esp) {
+        [&](const std::vector<int> &embedding, double floor,
+            std::vector<int> &key, double &esp) {
             esp = seed.model->espOfTrace(seed.trace, embedding);
+            if (esp < floor) {
+                key.clear();
+                return;
+            }
             seed.fill(embedding, esp, scratch);
             key = scratch.initialMap;
             key.insert(key.end(), scratch.relabel.begin(),

@@ -26,6 +26,7 @@ Device::driftedRound(Rng &rng, double drift) const
 {
     Device out = *this;
     out.calibration_ = calibration_.drifted(rng, drift);
+    out.fingerprint_.set(0);
     return out;
 }
 
@@ -34,6 +35,7 @@ Device::withStaleCalibration(Rng &rng, double severity) const
 {
     Device out = *this;
     out.calibration_ = calibration_.staleJump(rng, severity);
+    out.fingerprint_.set(0);
     return out;
 }
 
@@ -42,6 +44,7 @@ Device::withNoise(NoiseModel noise) const
 {
     Device out = *this;
     out.noise_ = std::move(noise);
+    out.fingerprint_.set(0);
     return out;
 }
 
@@ -53,6 +56,7 @@ Device::withCalibration(Calibration cal) const
                  "calibration does not match topology");
     Device out = *this;
     out.calibration_ = std::move(cal);
+    out.fingerprint_.set(0);
     return out;
 }
 
@@ -107,12 +111,17 @@ Device::synthetic(std::string name, Topology topology,
 std::uint64_t
 Device::fingerprint() const
 {
+    std::uint64_t value = fingerprint_.get();
+    if (value != 0)
+        return value;
     Fingerprint fp(0xDE71CEull);
     fp.add(std::string_view(name_));
     fp.add(topology_.fingerprint());
     fp.add(calibration_.fingerprint());
     fp.add(noise_.fingerprint());
-    return fp.value();
+    value = fp.value();
+    fingerprint_.set(value);
+    return value;
 }
 
 } // namespace qedm::hw

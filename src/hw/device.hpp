@@ -9,6 +9,8 @@
 
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "common/rng.hpp"
@@ -37,6 +39,11 @@ class Device
      * devices with equal fingerprints execute circuits identically, so
      * this is the device half of every runtime cache key. Drifted
      * calibration (a new "epoch") changes the fingerprint.
+     *
+     * Hashed on the first call and memoized: cache keys, device views
+     * and ESP models ask for it many times per compile. Concurrent
+     * first calls may each hash, and agree. A copy carries the memo;
+     * the copy variants below that change content reset it.
      */
     std::uint64_t fingerprint() const;
 
@@ -84,10 +91,54 @@ class Device
                             std::uint64_t seed);
 
   private:
+    /** A lazily filled hash; 0 means not hashed yet, so a device
+     *  whose hash is 0 rehashes on every call. Relaxed atomics
+     *  suffice: the value is a pure function of content that no
+     *  thread changes while others read it. */
+    class Memo
+    {
+      public:
+        Memo() = default;
+        Memo(const Memo &other) : value_(other.get()) {}
+        /** Declared so that Device stays movable (a user-declared
+         *  copy would turn its moves into copies); the moved-from
+         *  device keeps no hash of the content it lost. */
+        Memo(Memo &&other) noexcept : value_(other.get())
+        {
+            other.set(0);
+        }
+        Memo &
+        operator=(const Memo &other)
+        {
+            set(other.get());
+            return *this;
+        }
+        Memo &
+        operator=(Memo &&other) noexcept
+        {
+            set(other.get());
+            other.set(0);
+            return *this;
+        }
+
+        std::uint64_t get() const
+        {
+            return value_.load(std::memory_order_relaxed);
+        }
+        void set(std::uint64_t value) const
+        {
+            value_.store(value, std::memory_order_relaxed);
+        }
+
+      private:
+        mutable std::atomic<std::uint64_t> value_{0};
+    };
+
     std::string name_;
     Topology topology_;
     Calibration calibration_;
     NoiseModel noise_;
+    Memo fingerprint_;
 };
 
 } // namespace qedm::hw

@@ -160,6 +160,19 @@ struct PlacementSearchPlan::Impl
     std::vector<int> hostOff;
     std::vector<int> hostsByScore;
 
+    /**
+     * Twin classes of two or more pattern vertices, members in
+     * matching order: entries [classOff[c], classOff[c + 1]) of
+     * classMembers. Both stay empty for a twin-free pattern.
+     * prevTwin[v] is the member before v in its class, -1 for the
+     * first member and for vertices in no class. The search only
+     * hosts v above prevTwin[v]'s host, so it reaches one embedding
+     * per orbit, and each leaf scores the orbit's other members.
+     */
+    std::vector<int> classOff;
+    std::vector<int> classMembers;
+    std::vector<int> prevTwin;
+
     Impl(const hw::Topology &pattern_graph,
          const PlacementCostModel &cost,
          const std::vector<bool> *allowed)
@@ -175,6 +188,7 @@ struct PlacementSearchPlan::Impl
         buildTables(cost);
         buildBounds();
         buildHostLists();
+        buildTwins();
     }
 
     bool feasibleBit(int v, int t) const
@@ -461,6 +475,87 @@ struct PlacementSearchPlan::Impl
             });
         }
     }
+
+    /**
+     * True when swapping the hosts of @p u and @p w never changes a
+     * score term: same neighbors apart from each other, equal vertex
+     * rows, and equal edge rows to every common neighbor. The swap is
+     * then a pattern automorphism that keeps the host set, the
+     * feasibility and the multiset of log terms.
+     */
+    bool
+    twins(int u, int w) const
+    {
+        const auto nt = static_cast<std::size_t>(numTarget);
+        const auto others = [this](int a, int b) {
+            const int deg = pattern.degree(a);
+            return pattern.adjacent(a, b) ? deg - 1 : deg;
+        };
+        if (others(u, w) != others(w, u))
+            return false;
+        const double *vu =
+            vertexLogTab.data() + static_cast<std::size_t>(u) * nt;
+        const double *vw =
+            vertexLogTab.data() + static_cast<std::size_t>(w) * nt;
+        if (!std::equal(vu, vu + nt, vw))
+            return false;
+        for (int x : pattern.neighbors(u)) {
+            if (x == w)
+                continue;
+            const int ew = pattern.edgeIndex(w, x);
+            if (ew < 0)
+                return false;
+            const double *eu =
+                edgeLogTab.data() +
+                static_cast<std::size_t>(pattern.edgeIndex(u, x)) *
+                    targetEdges;
+            const double *row_w = edgeLogTab.data() +
+                                  static_cast<std::size_t>(ew) *
+                                      targetEdges;
+            if (!std::equal(eu, eu + targetEdges, row_w))
+                return false;
+        }
+        return true;
+    }
+
+    /** Groups pattern vertices into twin classes (see classOff). A
+     *  vertex joins the first class, in matching order, whose every
+     *  member it twins. */
+    void
+    buildTwins()
+    {
+        const auto np = static_cast<std::size_t>(numPattern);
+        prevTwin.assign(np, -1);
+        std::vector<bool> grouped(np, false);
+        classOff.assign(1, 0);
+        for (std::size_t d = 0; d < np; ++d) {
+            if (grouped[static_cast<std::size_t>(order[d])])
+                continue;
+            const std::size_t first = classMembers.size();
+            classMembers.push_back(order[d]);
+            for (std::size_t d2 = d + 1; d2 < np; ++d2) {
+                const int w = order[d2];
+                if (grouped[static_cast<std::size_t>(w)])
+                    continue;
+                bool all = true;
+                for (std::size_t i = first;
+                     all && i < classMembers.size(); ++i)
+                    all = twins(classMembers[i], w);
+                if (!all)
+                    continue;
+                grouped[static_cast<std::size_t>(w)] = true;
+                prevTwin[static_cast<std::size_t>(w)] =
+                    classMembers.back();
+                classMembers.push_back(w);
+            }
+            if (classMembers.size() - first < 2)
+                classMembers.pop_back();
+            else
+                classOff.push_back(static_cast<int>(classMembers.size()));
+        }
+        if (classOff.size() == 1)
+            classOff.clear();
+    }
 };
 
 namespace {
@@ -537,7 +632,8 @@ class Worker
           candDelta_(static_cast<std::size_t>(plan.numPattern) *
                      static_cast<std::size_t>(plan.numTarget)),
           candHost_(static_cast<std::size_t>(plan.numPattern) *
-                    static_cast<std::size_t>(plan.numTarget))
+                    static_cast<std::size_t>(plan.numTarget)),
+          classHosts_(plan.classMembers.size())
     {
         if (constraint != nullptr && !constraint->avoid.empty())
             buildAvoidTable(*constraint);
@@ -650,6 +746,33 @@ class Worker
             std::log(std::max(best_.worstEsp(), kEspLogFloor));
     }
 
+    /** Score the embedding in map_ and keep it if it belongs in the
+     *  list. The scorer sees the admission floor, so it may skip the
+     *  key of a score admits() rejects on the score alone. */
+    // qedm:hot
+    void
+    score()
+    {
+        const double admission_floor =
+            best_.full() ? best_.worstEsp() : kNegInf;
+        double esp = 0.0;
+        scorer_(map_, admission_floor, key_, esp);
+        // Below the floor admits() decides on the score alone, so a
+        // key the scorer skipped is never read.
+        if (!best_.admits(esp, key_, map_))
+            return;
+        best_.insert(esp, key_, map_);
+        refreshThreshold();
+    }
+
+    /**
+     * A leaf of the twin-sorted tree: one completion, standing for
+     * its whole orbit. Each class's hosts are ascending in matching
+     * order here, so stepping every class through next_permutation
+     * (an odometer over the classes) scores each permutation once and
+     * leaves map_ as it found it.
+     */
+    // qedm:hot
     void
     complete(double partial)
     {
@@ -659,15 +782,33 @@ class Worker
         // Leaf bound: partial (+ slack) upper-bounds the exact log
         // score — isolated-qubit factors only lower it — so a leaf
         // that cannot reach the K-th best skips the exact scorer.
+        // Twin permutations sum the same terms in another order, far
+        // inside the slack, so the test speaks for the whole orbit.
         if (boundPrunes(partial))
             return;
-        std::vector<int> canonical_map;
-        double esp = 0.0;
-        scorer_(map_, canonical_map, esp);
-        if (!best_.admits(esp, canonical_map, map_))
-            return;
-        best_.insert(esp, std::move(canonical_map), map_);
-        refreshThreshold();
+        const auto &members = plan_.classMembers;
+        const auto &off = plan_.classOff;
+        for (std::size_t i = 0; i < members.size(); ++i)
+            classHosts_[i] =
+                map_[static_cast<std::size_t>(members[i])];
+        const std::size_t classes = off.empty() ? 0 : off.size() - 1;
+        for (;;) {
+            score();
+            std::size_t c = 0;
+            for (; c < classes; ++c) {
+                int *first = classHosts_.data() + off[c];
+                int *last = classHosts_.data() + off[c + 1];
+                const bool more = std::next_permutation(first, last);
+                for (int i = off[c]; i < off[c + 1]; ++i)
+                    map_[static_cast<std::size_t>(
+                        members[static_cast<std::size_t>(i)])] =
+                        classHosts_[static_cast<std::size_t>(i)];
+                if (more)
+                    break;
+            }
+            if (c == classes)
+                return;
+        }
     }
 
     /** Host pattern vertex @p v on target @p t and explore deeper. */
@@ -697,6 +838,10 @@ class Worker
                    const double *vlog, double *cand_delta,
                    int *cand_host)
     {
+        // Twin order: v's host must exceed its previous twin's (-1,
+        // so no bar, when v has none).
+        const int twin_host =
+            hostOf(plan_.prevTwin[static_cast<std::size_t>(v)]);
         int nc = 0;
         if (anchor_host < 0) {
             // Start of a disconnected pattern component: every unused
@@ -704,7 +849,7 @@ class Worker
             // is already in child order, so this only filters it.
             for (int t : plan_.hosts(v)) {
                 if (used_[static_cast<std::size_t>(t)] != 0 ||
-                    !admitted(t))
+                    t <= twin_host || !admitted(t))
                     continue;
                 cand_delta[nc] = vlog[static_cast<std::size_t>(t)];
                 cand_host[nc] = t;
@@ -730,7 +875,8 @@ class Worker
         // factor without an edgeIndex lookup.
         for (const auto &[t, device_edge] :
              plan_.target.neighborEdges(anchor_host)) {
-            if (used_[static_cast<std::size_t>(t)] != 0)
+            if (used_[static_cast<std::size_t>(t)] != 0 ||
+                t <= twin_host)
                 continue;
             if (!plan_.feasibleBit(v, t)) {
                 if (stats_ != nullptr && plan_.degreeOkBit(v, t))
@@ -904,6 +1050,10 @@ class Worker
     /** Depth-sliced candidate scratch (numPattern x numTarget). */
     std::vector<double> candDelta_;
     std::vector<int> candHost_;
+    /** Leaf scratch: the twin classes' hosts (classMembers order)
+     *  and the scorer's key. */
+    std::vector<int> classHosts_;
+    std::vector<int> key_;
     /** Host-set constraint state; avoidOff_ stays empty without one.
      *  Target t's avoided sets are avoidSet_[avoidOff_[t] ..
      *  avoidOff_[t + 1]). */
@@ -990,6 +1140,17 @@ PlacementSearchPlan::PlacementSearchPlan(
                              cost_model.espModel().numQubits()),
                  "allowed mask size must match the target graph");
     impl_ = std::make_unique<Impl>(pattern, cost_model, allowed);
+}
+
+std::vector<std::vector<int>>
+PlacementSearchPlan::twinClasses() const
+{
+    std::vector<std::vector<int>> out;
+    const std::vector<int> &off = impl_->classOff;
+    for (std::size_t c = 0; c + 1 < off.size(); ++c)
+        out.emplace_back(impl_->classMembers.begin() + off[c],
+                         impl_->classMembers.begin() + off[c + 1]);
+    return out;
 }
 
 PlacementSearchPlan::~PlacementSearchPlan() = default;

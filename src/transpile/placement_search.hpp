@@ -29,7 +29,14 @@
  *  - a depth with no placed pattern neighbor (the start of a
  *    disconnected component, e.g. an isolated data qubit) reads its
  *    vertex's feasible hosts from a list the plan presorts by vertex
- *    score, instead of sorting them at every node.
+ *    score, instead of sorting them at every node;
+ *  - twin vertices (same neighbors apart from each other, equal
+ *    vertex and edge cost rows — a star's leaves, isolated qubits)
+ *    are hosted in ascending order along the matching order, so the
+ *    search reaches one embedding per twin orbit; a leaf that passes
+ *    the leaf bound scores every permutation of hosts within each
+ *    twin class, and the scorer may skip the key of any score below
+ *    the list's admission floor (see EmbeddingScorer).
  *
  * Exact scores of surviving completions are recomputed with the
  * product-form EspModel trace walk — bit-identical to scoring the
@@ -186,12 +193,20 @@ class PlacementCostModel
 
 /**
  * Exact scorer for one completed embedding: returns the canonical
- * mapping vector and the exact (product-form) ESP. Callers close over
- * whatever completion logic they need (isolated-qubit placement, full
- * physical relabeling, ...).
+ * mapping vector (the tie-break key) and the exact (product-form)
+ * ESP. Callers close over whatever completion logic they need
+ * (isolated-qubit placement, full physical relabeling, ...).
+ *
+ * Floor contract: @p floor is the best-K list's admission floor — the
+ * K-th best ESP once the list is full, else -inf. An embedding whose
+ * ESP is below it cannot enter the list, and the list orders it by
+ * ESP alone, so for such an ESP the scorer may leave @p map_out
+ * unset (empty or stale); it must still set @p esp_out. At or above
+ * the floor the key must be complete. A scorer whose key is cheap may
+ * ignore the floor.
  */
 using EmbeddingScorer =
-    std::function<void(const std::vector<int> &embedding,
+    std::function<void(const std::vector<int> &embedding, double floor,
                        std::vector<int> &map_out, double &esp_out)>;
 
 /**
@@ -228,6 +243,10 @@ class PlacementSearchPlan
     PlacementSearchPlan &operator=(const PlacementSearchPlan &) =
         delete;
 
+    /** The pattern's twin classes: two or more vertices each, members
+     *  in matching order. Empty for a twin-free pattern. */
+    std::vector<std::vector<int>> twinClasses() const;
+
     struct Impl;
 
   private:
@@ -249,7 +268,10 @@ class PlacementSearchPlan
  * @param limit blowup guard: at most @p limit completed embeddings
  *        are explored *per root branch* (per root-frontier host of
  *        the first pattern vertex), so a binding limit cuts the same
- *        subtrees whatever the other roots find.
+ *        subtrees whatever the other roots find. A completion is a
+ *        leaf of the twin-sorted tree, one per twin orbit, however
+ *        many permutations it scores; the counters in @p stats count
+ *        that tree too.
  * @param stats optional search-effort counters
  * @param constraint optional host-set constraint; the result is then
  *        the K best among the embeddings that satisfy it, under the

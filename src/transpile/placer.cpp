@@ -186,9 +186,11 @@ Placer::topPlacements(const circuit::Circuit &logical, std::size_t k,
     }
 
     const PlacementProblem &problem = search->problem;
+    // The map is both the key and what the score walks, so this
+    // scorer ignores the admission floor.
     const EmbeddingScorer scorer =
-        [&](const std::vector<int> &embedding, std::vector<int> &map,
-            double &esp) {
+        [&](const std::vector<int> &embedding, double,
+            std::vector<int> &map, double &esp) {
             map = completeMap(view_, problem, embedding);
             esp = problem.model->espOfTrace(problem.trace, map);
         };

@@ -991,9 +991,12 @@ TEST(EnsembleBuilder, GridBv6DriftedBuildsPinned)
     // bv-6 on the grid-recompile device over five drifted rounds. Its
     // routed seed pattern is a star plus two isolated vertices, so
     // every pick's search ends in unanchored depths: presorted host
-    // lists and the sorted-sibling cutoff. Members and the summed
-    // search counters are pinned to values captured from the
-    // per-child search, which the cutoff must reproduce exactly.
+    // lists and the sorted-sibling cutoff. The star's four leaves and
+    // the two isolated vertices are twin classes, so the search walks
+    // one embedding per orbit and scores the rest at its leaves.
+    // Members are those of the full search. The summed counters count
+    // the twin-sorted tree and were captured from its per-child
+    // search, which the cutoff must reproduce exactly.
     struct Member
     {
         std::uint64_t fingerprint;
@@ -1075,9 +1078,9 @@ TEST(EnsembleBuilder, GridBv6DriftedBuildsPinned)
                 << at;
         }
     }
-    EXPECT_EQ(total.nodesVisited, 215427u);
-    EXPECT_EQ(total.completions, 80046u);
-    EXPECT_EQ(total.prunedBound, 190502u);
+    EXPECT_EQ(total.nodesVisited, 18259u);
+    EXPECT_EQ(total.completions, 1989u);
+    EXPECT_EQ(total.prunedBound, 9782u);
     EXPECT_EQ(total.prunedSignature, 0u);
 }
 

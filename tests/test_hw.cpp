@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -449,6 +454,73 @@ TEST(Topology, LazyDistancesMatchEagerBfs)
                       std::abs(a / 8 - b / 8) + std::abs(a % 8 - b % 8));
         }
     }
+}
+
+/** The fingerprint of a freshly constructed device equal to @p d. */
+std::uint64_t
+freshFingerprint(const Device &d)
+{
+    return Device(d.name(), d.topology(), d.calibration(), d.noise())
+        .fingerprint();
+}
+
+// The memo must not turn Device's moves into copies of its tables.
+static_assert(std::is_nothrow_move_constructible_v<Device> &&
+              std::is_nothrow_move_assignable_v<Device>);
+
+TEST(Device, MemoizedFingerprintMatchesFreshDevice)
+{
+    // The fingerprint is memoized on first call and copies carry it;
+    // every copy variant must still hash what a fresh device with the
+    // same content hashes.
+    const Device d = Device::melbourne(3);
+    const std::uint64_t fp = d.fingerprint();
+    EXPECT_EQ(fp, freshFingerprint(d));
+    EXPECT_EQ(d.fingerprint(), fp); // memo read
+
+    Rng rng(11);
+    Calibration cal = d.calibration();
+    cal.qubit(0).error1q *= 2.0;
+    Device moved_from = d;
+    const std::vector<std::pair<std::string, Device>> variants = {
+        {"copy", d},
+        {"driftedRound", d.driftedRound(rng)},
+        {"withStaleCalibration", d.withStaleCalibration(rng)},
+        {"withNoise", d.withNoise(NoiseModel::ideal(d.topology()))},
+        {"withCalibration", d.withCalibration(cal)},
+        {"moved", std::move(moved_from)},
+    };
+    for (const auto &[label, v] : variants) {
+        EXPECT_EQ(v.fingerprint(), freshFingerprint(v)) << label;
+        const bool same = label == "copy" || label == "moved";
+        EXPECT_EQ(v.fingerprint() == fp, same) << label;
+    }
+
+    // Assignment carries the memo too, and overwrites the old one.
+    Device assigned = Device::idealMelbourne();
+    (void)assigned.fingerprint();
+    assigned = variants[1].second;
+    EXPECT_EQ(assigned.fingerprint(), freshFingerprint(variants[1].second));
+}
+
+TEST(Device, ConcurrentFirstFingerprintsAgree)
+{
+    // Four threads racing on the first call of one device all read
+    // the one content hash. (Relaxed atomics; run under TSan where
+    // the toolchain has it.)
+    Rng drift(3);
+    const Device d = Device::melbourne(5).driftedRound(drift);
+    std::array<std::uint64_t, 4> seen{};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        threads.emplace_back([&d, &seen, i] {
+            for (int rep = 0; rep < 50; ++rep)
+                seen[i] = d.fingerprint();
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (std::uint64_t fp : seen)
+        EXPECT_EQ(fp, freshFingerprint(d));
 }
 
 TEST(DeviceView, FullViewMatchesDevice)

@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "benchmarks/benchmarks.hpp"
@@ -594,7 +596,7 @@ TEST(TopPlacements, BoundPruningActuallyFires)
     const GateTrace trace = EspModel::trace(logical.decomposed());
     const PlacementCostModel cost(model, pattern, pattern_index, trace);
     const EmbeddingScorer scorer = [&](const std::vector<int> &emb,
-                                       std::vector<int> &map_out,
+                                       double, std::vector<int> &map_out,
                                        double &esp_out) {
         map_out = emb;
         esp_out = model->espOfTrace(trace, emb);
@@ -610,89 +612,229 @@ TEST(TopPlacements, BoundPruningActuallyFires)
     EXPECT_LT(stats.completions, 304u);
 }
 
+/** One 1q and one measure term per pattern vertex, one 2q term per
+ *  pattern edge. */
+GateTrace
+uniformTrace(const hw::Topology &pattern)
+{
+    GateTrace trace;
+    for (int v = 0; v < pattern.numQubits(); ++v) {
+        trace.push_back({GateTerm::Kind::OneQubit, v, 0});
+        trace.push_back({GateTerm::Kind::Measure, v, 0});
+    }
+    for (const auto &edge : pattern.edges())
+        trace.push_back({GateTerm::Kind::TwoQubit, edge.a, edge.b});
+    return trace;
+}
+
+/** Shared host count of two embeddings. */
+int
+sharedHosts(const std::vector<int> &a, const std::vector<int> &b)
+{
+    int count = 0;
+    for (int q : a)
+        count += static_cast<int>(std::count(b.begin(), b.end(), q));
+    return count;
+}
+
+/** Scorer calls and keys built by a lazy scorer. */
+struct KeyCounts
+{
+    std::size_t scored = 0;
+    std::size_t built = 0;
+};
+
+/**
+ * A constrained top-k query returns the head of the exhaustive
+ * ranking filtered to embeddings sharing at most maxShared hosts with
+ * each avoided set, at every cap. The search also runs with a lazy
+ * scorer that leaves the key empty below the admission floor: it
+ * must return the same list, and see a floor of -inf until k
+ * embeddings are kept and a rising floor no higher than the final
+ * k-th best after that. Its calls and key builds are added to
+ * @p counts.
+ */
+void
+expectMatchesFilteredEnumeration(const hw::Device &device,
+                                 const hw::Topology &pattern,
+                                 const GateTrace &trace, std::size_t k,
+                                 const std::string &label,
+                                 KeyCounts &counts)
+{
+    const auto model = sharedEspModel(device);
+    const int n = pattern.numQubits();
+    std::vector<int> identity(static_cast<std::size_t>(n));
+    std::iota(identity.begin(), identity.end(), 0);
+    const PlacementCostModel cost(model, pattern, identity, trace);
+    const PlacementSearchPlan plan(pattern, cost);
+    const EmbeddingScorer scorer = [&](const std::vector<int> &emb,
+                                       double, std::vector<int> &map_out,
+                                       double &esp_out) {
+        map_out = emb;
+        esp_out = model->espOfTrace(trace, emb);
+    };
+    std::vector<double> floors;
+    std::size_t keys = 0;
+    const EmbeddingScorer lazy = [&](const std::vector<int> &emb,
+                                     double floor,
+                                     std::vector<int> &map_out,
+                                     double &esp_out) {
+        floors.push_back(floor);
+        esp_out = model->espOfTrace(trace, emb);
+        if (esp_out < floor) {
+            map_out.clear();
+            return;
+        }
+        ++keys;
+        map_out = emb;
+    };
+
+    std::vector<ScoredEmbedding> ranked;
+    for (const auto &emb : vf2AllEmbeddings(pattern, device.topology()))
+        ranked.push_back({emb, emb, model->espOfTrace(trace, emb)});
+    std::sort(ranked.begin(), ranked.end(),
+              [](const ScoredEmbedding &a, const ScoredEmbedding &b) {
+                  return placementBefore(a.esp, a.map, b.esp, b.map);
+              });
+    ASSERT_GT(ranked.size(), 2 * k) << label;
+    HostSetConstraint constraint;
+    constraint.avoid = {ranked.front().embedding,
+                        ranked[ranked.size() / 2].embedding};
+    for (int max_shared = 0; max_shared < n; ++max_shared) {
+        constraint.maxShared = max_shared;
+        std::vector<ScoredEmbedding> expected;
+        for (const ScoredEmbedding &s : ranked) {
+            bool ok = expected.size() < k;
+            for (const auto &set : constraint.avoid)
+                ok = ok && sharedHosts(s.embedding, set) <= max_shared;
+            if (ok)
+                expected.push_back(s);
+        }
+        if (max_shared == n - 1) {
+            EXPECT_EQ(expected.size(), k) << label;
+        }
+        const std::string at = label + " k " + std::to_string(k) +
+                               " maxShared " +
+                               std::to_string(max_shared);
+        const auto got = topKPlacements(plan, scorer, k, 100000,
+                                        nullptr, &constraint);
+        floors.clear();
+        keys = 0;
+        const auto got_lazy =
+            topKPlacements(plan, lazy, k, 100000, nullptr, &constraint);
+        ASSERT_EQ(got.size(), expected.size()) << at;
+        ASSERT_EQ(got_lazy.size(), expected.size()) << at;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].embedding, expected[i].embedding)
+                << at << " i=" << i;
+            EXPECT_EQ(got[i].esp, expected[i].esp) << at << " i=" << i;
+            EXPECT_EQ(got_lazy[i].embedding, expected[i].embedding)
+                << at << " i=" << i;
+            EXPECT_EQ(got_lazy[i].map, expected[i].map)
+                << at << " i=" << i;
+            EXPECT_EQ(got_lazy[i].esp, expected[i].esp)
+                << at << " i=" << i;
+        }
+        for (std::size_t i = 0; i < floors.size(); ++i) {
+            if (i < k) {
+                EXPECT_EQ(floors[i],
+                          -std::numeric_limits<double>::infinity())
+                    << at << " call " << i;
+                continue;
+            }
+            EXPECT_GE(floors[i], floors[i - 1]) << at << " call " << i;
+            if (got_lazy.size() == k) {
+                EXPECT_LE(floors[i], got_lazy.back().esp)
+                    << at << " call " << i;
+            }
+        }
+        counts.scored += floors.size();
+        counts.built += keys;
+    }
+}
+
 TEST(TopPlacements, HostSetConstraintMatchesFilteredEnumeration)
 {
-    // A constrained query returns the head of the exhaustive ranking
-    // filtered to embeddings sharing at most maxShared hosts with each
-    // avoided set: at every cap, for a connected pattern, for one
-    // whose second component starts unanchored, and for one ending in
-    // two isolated vertices (unanchored depths read presorted host
-    // lists and cut pruned siblings in bulk).
+    // At every cap: a connected pattern, one whose second component
+    // starts unanchored, and one ending in two isolated vertices
+    // (unanchored depths read presorted host lists and cut pruned
+    // siblings in bulk).
     const hw::Device device = hw::Device::melbourne(2);
-    const auto model = sharedEspModel(device);
-    const hw::Topology &topo = device.topology();
     const std::vector<hw::Topology> patterns = {
         hw::Topology(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
         hw::Topology(5, {{0, 1}, {1, 2}, {3, 4}}),
         hw::Topology(5, {{0, 1}, {1, 2}}),
     };
-    constexpr std::size_t k = 4;
-    for (std::size_t c = 0; c < patterns.size(); ++c) {
-        const hw::Topology &pattern = patterns[c];
-        const int n = pattern.numQubits();
-        GateTrace trace;
-        for (int v = 0; v < n; ++v) {
-            trace.push_back({GateTerm::Kind::OneQubit, v, 0});
-            trace.push_back({GateTerm::Kind::Measure, v, 0});
-        }
-        for (const auto &edge : pattern.edges())
-            trace.push_back({GateTerm::Kind::TwoQubit, edge.a, edge.b});
-        std::vector<int> identity(static_cast<std::size_t>(n));
-        std::iota(identity.begin(), identity.end(), 0);
-        const PlacementCostModel cost(model, pattern, identity, trace);
-        const PlacementSearchPlan plan(pattern, cost);
-        const EmbeddingScorer scorer = [&](const std::vector<int> &emb,
-                                           std::vector<int> &map_out,
-                                           double &esp_out) {
-            map_out = emb;
-            esp_out = model->espOfTrace(trace, emb);
-        };
+    KeyCounts counts;
+    for (std::size_t c = 0; c < patterns.size(); ++c)
+        expectMatchesFilteredEnumeration(device, patterns[c],
+                                         uniformTrace(patterns[c]), 4,
+                                         "pattern " + std::to_string(c),
+                                         counts);
+}
 
-        std::vector<ScoredEmbedding> ranked;
-        for (const auto &emb : vf2AllEmbeddings(pattern, topo))
-            ranked.push_back({emb, emb, model->espOfTrace(trace, emb)});
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const ScoredEmbedding &a, const ScoredEmbedding &b) {
-                      return placementBefore(a.esp, a.map, b.esp, b.map);
-                  });
-        ASSERT_GT(ranked.size(), 2 * k) << "pattern " << c;
-        HostSetConstraint constraint;
-        constraint.avoid = {ranked.front().embedding,
-                            ranked[ranked.size() / 2].embedding};
-        const auto shared = [](const std::vector<int> &a,
-                               const std::vector<int> &b) {
-            int count = 0;
-            for (int q : a)
-                count += static_cast<int>(std::count(b.begin(), b.end(), q));
-            return count;
-        };
-        for (int max_shared = 0; max_shared < n; ++max_shared) {
-            constraint.maxShared = max_shared;
-            std::vector<ScoredEmbedding> expected;
-            for (const ScoredEmbedding &s : ranked) {
-                bool ok = expected.size() < k;
-                for (const auto &set : constraint.avoid)
-                    ok = ok && shared(s.embedding, set) <= max_shared;
-                if (ok)
-                    expected.push_back(s);
-            }
-            if (max_shared == n - 1) {
-                EXPECT_EQ(expected.size(), k) << "pattern " << c;
-            }
-            const auto got = topKPlacements(plan, scorer, k, 100000,
-                                            nullptr, &constraint);
-            const std::string at = "pattern " + std::to_string(c) +
-                                   " maxShared " +
-                                   std::to_string(max_shared);
-            ASSERT_EQ(got.size(), expected.size()) << at;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].embedding, expected[i].embedding)
-                    << at << " i=" << i;
-                EXPECT_EQ(got[i].esp, expected[i].esp)
-                    << at << " i=" << i;
-            }
-        }
+TEST(TopPlacements, TwinPatternsMatchFilteredEnumeration)
+{
+    // Patterns rich in twins: the search walks one embedding per twin
+    // orbit and scores the orbit at its leaves, which must return the
+    // exhaustive ranking's head at every k and cap. A near-twin star,
+    // whose leaf 3 carries one more 1q term, keeps that leaf out of
+    // the class. Orbit members below the admission floor skip their
+    // keys, so a lazy scorer builds fewer keys than it scores.
+    const hw::Device device = hw::Device::melbourne(2);
+    const auto model = sharedEspModel(device);
+    const hw::Topology star(4, {{0, 1}, {0, 2}, {0, 3}});
+    const hw::Topology star_isolated(6, {{0, 1}, {0, 2}, {0, 3}});
+    GateTrace near_twin = uniformTrace(star);
+    near_twin.push_back({GateTerm::Kind::OneQubit, 3, 0});
+    struct Case
+    {
+        std::string label;
+        const hw::Topology &pattern;
+        GateTrace trace;
+        std::vector<std::vector<int>> twins; ///< each class sorted
+    };
+    const std::vector<Case> cases = {
+        {"star", star, uniformTrace(star), {{1, 2, 3}}},
+        {"star + 2 isolated",
+         star_isolated,
+         uniformTrace(star_isolated),
+         {{1, 2, 3}, {4, 5}}},
+        {"near-twin star", star, near_twin, {{1, 2}}},
+    };
+    KeyCounts counts;
+    for (const Case &c : cases) {
+        std::vector<int> identity(
+            static_cast<std::size_t>(c.pattern.numQubits()));
+        std::iota(identity.begin(), identity.end(), 0);
+        const PlacementCostModel cost(model, c.pattern, identity,
+                                      c.trace);
+        auto classes = PlacementSearchPlan(c.pattern, cost).twinClasses();
+        for (auto &members : classes)
+            std::sort(members.begin(), members.end());
+        std::sort(classes.begin(), classes.end());
+        EXPECT_EQ(classes, c.twins) << c.label;
+        for (std::size_t k = 1; k <= 4; ++k)
+            expectMatchesFilteredEnumeration(device, c.pattern, c.trace,
+                                             k, c.label, counts);
     }
+    EXPECT_LT(counts.built, counts.scored);
+}
+
+TEST(TopPlacements, TwinFreePatternsHaveNoClasses)
+{
+    // A path's ends twin only when the path has three vertices; qaoa-7
+    // on its own interaction graph (a 7-path) has none.
+    const hw::Device device = hw::Device::melbourne(2);
+    const auto model = sharedEspModel(device);
+    const Circuit logical = benchmarks::qaoaMaxcutPath(7).circuit;
+    const InteractionGraph ig = interactionGraph(logical);
+    const hw::Topology pattern(ig.numQubits, ig.edges);
+    std::vector<int> identity(static_cast<std::size_t>(ig.numQubits));
+    std::iota(identity.begin(), identity.end(), 0);
+    const GateTrace trace = EspModel::trace(logical.decomposed());
+    const PlacementCostModel cost(model, pattern, identity, trace);
+    EXPECT_TRUE(PlacementSearchPlan(pattern, cost).twinClasses().empty());
 }
 
 TEST(TopPlacements, BindingLimitWithIsolatedVerticesPinned)
@@ -701,8 +843,11 @@ TEST(TopPlacements, BindingLimitWithIsolatedVerticesPinned)
     // unanchored, so their children come from presorted host lists
     // and pruned leaf siblings are counted in bulk. With a binding
     // per-root limit that bulk count must stop exactly where one
-    // completion at a time did. Results and counters were captured
-    // from the per-child search.
+    // completion at a time did. The path's ends {0, 2} and the
+    // isolated {3, 4} are twins, so the limit counts leaves of the
+    // twin-sorted tree (one per orbit); limits 2 and 13 bind, 100000
+    // does not. Results and counters were captured from a per-child
+    // search (no bulk count) of that tree.
     const hw::Device device = hw::Device::melbourne(2);
     const auto model = sharedEspModel(device);
     const hw::Topology pattern(5, {{0, 1}, {1, 2}});
@@ -717,7 +862,7 @@ TEST(TopPlacements, BindingLimitWithIsolatedVerticesPinned)
     const PlacementCostModel cost(model, pattern, identity, trace);
     const PlacementSearchPlan plan(pattern, cost);
     const EmbeddingScorer scorer = [&](const std::vector<int> &emb,
-                                       std::vector<int> &map_out,
+                                       double, std::vector<int> &map_out,
                                        double &esp_out) {
         map_out = emb;
         esp_out = model->espOfTrace(trace, emb);
@@ -730,20 +875,20 @@ TEST(TopPlacements, BindingLimitWithIsolatedVerticesPinned)
     };
     const std::vector<Pinned> pinned = {
         {2,
-         {{{6, 8, 9, 2, 0}, 0.83126143895594429},
+         {{{9, 8, 6, 2, 13}, 0.82683346954163206},
           {{6, 8, 9, 2, 13}, 0.82683346954163195},
-          {{0, 1, 2, 8, 6}, 0.81802087681328106}},
-         {50, 10, 12, 0}},
+          {{9, 8, 6, 13, 2}, 0.82683346954163195}},
+         {49, 2, 23, 0}},
         {13,
-         {{{6, 8, 9, 0, 2}, 0.83126143895594429},
-          {{6, 8, 9, 2, 0}, 0.83126143895594429},
-          {{6, 8, 9, 2, 13}, 0.82683346954163195}},
-         {52, 13, 25, 0}},
+         {{{9, 8, 6, 0, 2}, 0.83126143895594451},
+          {{9, 8, 6, 2, 0}, 0.83126143895594451},
+          {{6, 8, 9, 0, 2}, 0.83126143895594429}},
+         {43, 13, 19, 0}},
         {100000,
          {{{9, 8, 6, 0, 2}, 0.83126143895594451},
           {{9, 8, 6, 2, 0}, 0.83126143895594451},
           {{6, 8, 9, 0, 2}, 0.83126143895594429}},
-         {94, 70, 60, 0}},
+         {67, 18, 40, 0}},
     };
     for (const Pinned &p : pinned) {
         const std::string at = "limit " + std::to_string(p.limit);
