@@ -22,9 +22,10 @@
  *   - EspChecker: the reported ESP is recomputable from the routed
  *     circuit and the calibration tables within 1e-9.
  *
- * The passes run as a post-pass hook inside the Transpiler and over
- * every ensemble member: always-on in debug builds (kDefaultVerify),
- * opt-in via EdmConfig::verifyPasses / `qedm_cli --check` in release.
+ * The passes run through transpile::verifyCompiled, after every
+ * Transpiler compile and over every ensemble member: always-on in
+ * debug builds (kDefaultVerify), opt-in via EdmConfig::verifyPasses /
+ * `qedm_cli --check` in release.
  * A violation throws CheckError naming the pass, the offending gate
  * index, and the physical qubits involved.
  */

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -149,18 +150,8 @@ struct Seed
         out.esp = rec.esp;
         // Isomorphic transfer must preserve validity; verify every
         // member the builder hands out, not just the compiled seed.
-        if (verify) {
-            check::ProgramView pv;
-            pv.physical = &out.physical;
-            pv.initialMap = &out.initialMap;
-            pv.finalMap = &out.finalMap;
-            pv.swapCount = out.swapCount;
-            pv.esp = out.esp;
-            pv.device = &view.device();
-            pv.logical = &logical;
-            pv.region = &view;
-            check::verifyProgram(pv);
-        }
+        if (verify)
+            transpile::verifyCompiled(out, logical, view);
         return out;
     }
 
@@ -222,9 +213,11 @@ compileSeed(const hw::DeviceView &view, const EnsembleConfig &config,
 }
 
 /**
- * Every distinct qubit set among the first @p vf2_limit embeddings,
- * as its best embedding under candidateBefore, sorted best first: the
- * rows the exhaustive policies (candidates, buildRandom) draw from.
+ * Every distinct qubit set the seed embeds onto, as its best embedding
+ * under candidateBefore, sorted best first: the rows the exhaustive
+ * policies (candidates, buildRandom) draw from. Throws UserError when
+ * the seed has more than @p vf2_limit embeddings: the cap would cut
+ * the list in enumeration order, not ESP order.
  *
  * The paper ranks isomorphic *sub-graphs*: automorphic relabelings of
  * one qubit set collapse onto its best. Embeddings stream past; only
@@ -238,9 +231,12 @@ rankAll(const Seed &seed, std::size_t vf2_limit)
     std::vector<CandidateRecord> rows;
     std::unordered_map<std::uint64_t, std::size_t> rowOf;
     CandidateRecord challenger;
-    transpile::vf2ForEachEmbedding(
-        seed.pattern, seed.view.device().topology(), vf2_limit,
-        seed.view.maskPtr(), [&](const std::vector<int> &embedding) {
+    // One embedding past the cap tells a list the cap cuts short from
+    // one that ends at it (the max guards the uncapped SIZE_MAX).
+    const std::size_t visited = transpile::vf2ForEachEmbedding(
+        seed.pattern, seed.view.device().topology(),
+        std::max(vf2_limit, vf2_limit + 1), seed.view.maskPtr(),
+        [&](const std::vector<int> &embedding) {
             const double esp =
                 seed.model->espOfTrace(seed.trace, embedding);
             const auto [slot, fresh] =
@@ -256,6 +252,11 @@ rankAll(const Seed &seed, std::size_t vf2_limit)
             if (candidateBefore(challenger, best))
                 std::swap(challenger, best);
         });
+    QEDM_REQUIRE(visited <= vf2_limit,
+                 "seed pattern has more embeddings than "
+                 "EnsembleConfig::vf2Limit = " +
+                     std::to_string(vf2_limit) +
+                     "; the candidate list would be cut short");
     QEDM_ASSERT(!rows.empty(), "identity embedding must always exist");
     std::sort(rows.begin(), rows.end(), candidateBefore);
     return rows;

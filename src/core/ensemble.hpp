@@ -15,8 +15,9 @@
  * enumerate the embeddings: each pick of the overlap-capped greedy is
  * one set-constrained top-1 branch-and-bound query (DESIGN.md §13),
  * exact over every embedding. The exhaustive policies (candidates,
- * buildRandom) need every qubit set by definition; they stream VF2
- * embeddings up to EnsembleConfig::vf2Limit.
+ * buildRandom) need every qubit set by definition; they stream every
+ * VF2 embedding and refuse a seed with more than
+ * EnsembleConfig::vf2Limit.
  */
 
 #pragma once
@@ -45,14 +46,14 @@ struct EnsembleConfig
     /** Ensemble size K (paper default: 4). */
     int size = 4;
     /**
-     * Cap on VF2 embedding enumeration for the exhaustive policies,
-     * candidates() and buildRandom(); build(), buildAdaptive() and
-     * buildPredictive() search every embedding and ignore it.
-     * Truncation is in enumeration order, not ESP order: past the cap
-     * the candidate list covers only the embeddings enumerated first
-     * and can silently miss better placements. A test pins which
-     * Table-1 seed patterns reach the default: none on melbourne; on
-     * an 8x8 grid the routed bv-6 and bv-7 patterns do.
+     * Most VF2 embeddings the exhaustive policies, candidates() and
+     * buildRandom(), enumerate; a seed with more makes them throw
+     * UserError naming the cap, since a list cut in enumeration order
+     * (not ESP order) could miss better placements. build(),
+     * buildAdaptive() and buildPredictive() search every embedding
+     * and ignore it. A test pins which Table-1 seed patterns exceed
+     * the default: none on melbourne; on an 8x8 grid the routed bv-6
+     * and bv-7 patterns do.
      */
     std::size_t vf2Limit = 200000;
     /**
@@ -73,10 +74,10 @@ struct EnsembleConfig
     /** Routing cost metric for the seed compilation. */
     transpile::RouteCost routeCost = transpile::RouteCost::Reliability;
     /**
-     * Run the qedm::check static verifiers over the compiled seed
-     * (as the transpiler's post-pass hook) and over every isomorphic
-     * transfer the builder emits. Always-on in debug builds; opt-in
-     * in release (zero cost when off).
+     * Run the qedm::check static verifiers (transpile::verifyCompiled)
+     * over the compiled seed and over every isomorphic transfer the
+     * builder emits. Always-on in debug builds; opt-in in release
+     * (zero cost when off).
      */
     bool verifyPasses = check::kDefaultVerify;
     /**
@@ -123,11 +124,12 @@ class EnsembleBuilder
 
     /**
      * All candidate programs: isomorphic transfers of the compiled
-     * seed, one per distinct qubit set among the first
-     * config().vf2Limit embeddings, sorted by descending ESP. The
-     * first entry is the compile-time best mapping (the paper's
-     * baseline). Materializes every candidate; the build policies
-     * materialize only the members they return.
+     * seed, one per distinct qubit set it embeds onto, sorted by
+     * descending ESP. Throws UserError when the seed has more than
+     * config().vf2Limit embeddings. The first entry is the
+     * compile-time best mapping (the paper's baseline). Materializes
+     * every candidate; the build policies materialize only the
+     * members they return.
      */
     std::vector<transpile::CompiledProgram>
     candidates(const circuit::Circuit &logical) const;
@@ -147,7 +149,7 @@ class EnsembleBuilder
     /**
      * Ablation policy: the compile-time best mapping plus K-1
      * candidates drawn uniformly at random from the rest, ignoring
-     * ESP rank.
+     * ESP rank. Throws as candidates() does past config().vf2Limit.
      */
     std::vector<transpile::CompiledProgram>
     buildRandom(const circuit::Circuit &logical, Rng &rng) const;

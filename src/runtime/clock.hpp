@@ -4,7 +4,7 @@
  *
  * Everything in qedm that must be reproducible runs on virtual time
  * (resilience deadlines, fault schedules); real wall time is still
- * needed by the watchdog, the retry sleeper, and pass timing. All of
+ * needed by the watchdog and the retry sleeper. All of
  * it enters through this one interface: production code takes a
  * `const Clock &` and the process-wide SteadyClock singleton, tests
  * substitute a ManualClock and never sleep for real. This file is the

@@ -41,14 +41,6 @@ esp(const circuit::Circuit &physical, const hw::Device &device)
 }
 
 double
-espCost(const circuit::Circuit &physical, const hw::Device &device)
-{
-    const double p = esp(physical, device);
-    QEDM_REQUIRE(p > 0.0, "ESP is zero; cost is unbounded");
-    return -std::log(p);
-}
-
-double
 espWithDecoherence(const circuit::Circuit &physical,
                    const hw::Device &device)
 {

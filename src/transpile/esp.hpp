@@ -22,9 +22,6 @@ namespace qedm::transpile {
  */
 double esp(const circuit::Circuit &physical, const hw::Device &device);
 
-/** -log(ESP); additive cost form used by search heuristics. */
-double espCost(const circuit::Circuit &physical, const hw::Device &device);
-
 /**
  * Decoherence-aware ESP extension: the plain ESP multiplied by each
  * active qubit's survival factor exp(-t_busy/T1 - t_busy/T2), where

@@ -1,17 +1,11 @@
 #include "transpile/interaction_graph.hpp"
 
-#include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace qedm::transpile {
-
-hw::Topology
-InteractionGraph::asTopology() const
-{
-    return hw::Topology(std::max(numQubits, 1), edges);
-}
 
 int
 InteractionGraph::degree(int q) const

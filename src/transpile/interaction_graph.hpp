@@ -10,10 +10,10 @@
 
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "hw/topology.hpp"
 
 namespace qedm::transpile {
 
@@ -25,9 +25,6 @@ struct InteractionGraph
     std::vector<std::pair<int, int>> edges;
     /** Two-qubit gate count per edge (parallel to edges). */
     std::vector<int> weights;
-
-    /** The interaction graph as a Topology (general graph container). */
-    hw::Topology asTopology() const;
 
     /** Interaction degree of a logical qubit. */
     int degree(int q) const;

@@ -57,6 +57,77 @@ placeIsolated(const hw::DeviceView &view, const std::vector<int> &isolated,
     }
 }
 
+/** Greedy reliability-aware placement (always succeeds): the
+ *  fallback when the interaction graph does not embed. */
+std::vector<int>
+greedyPlace(const hw::DeviceView &view, const circuit::Circuit &logical)
+{
+    const hw::Device &device = view.device();
+    const InteractionGraph ig = interactionGraph(logical);
+    QEDM_REQUIRE(ig.numQubits <= device.numQubits(),
+                 "program needs more qubits than the device has");
+    QEDM_REQUIRE(ig.numQubits <= view.numAllowed(),
+                 "program needs more qubits than the region allows");
+    const auto dist = sharedDistanceProvider(view, RouteCost::Reliability);
+    const auto &topo = view.topology();
+
+    // Interacting qubits in order of decreasing degree.
+    std::vector<int> order;
+    for (int q = 0; q < ig.numQubits; ++q) {
+        if (ig.degree(q) > 0)
+            order.push_back(q);
+    }
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return ig.degree(a) > ig.degree(b);
+    });
+
+    std::vector<int> map(ig.numQubits, -1);
+    std::vector<bool> used(device.numQubits(), false);
+
+    for (int l : order) {
+        // Placed interaction partners of l, with weights.
+        std::vector<std::pair<int, int>> partners; // (physical, weight)
+        for (std::size_t e = 0; e < ig.edges.size(); ++e) {
+            const auto &[a, b] = ig.edges[e];
+            const int other = a == l ? b : (b == l ? a : -1);
+            if (other >= 0 && map[other] >= 0)
+                partners.emplace_back(map[other], ig.weights[e]);
+        }
+        int best = -1;
+        double best_cost = std::numeric_limits<double>::max();
+        for (int p = 0; p < device.numQubits(); ++p) {
+            if (used[p] || !view.allowed(p))
+                continue;
+            double cost = 0.0;
+            if (partners.empty()) {
+                // Seed vertex: prefer well-connected, reliable regions.
+                double link_quality = 0.0;
+                for (int nbr : topo.neighbors(p)) {
+                    const int e = topo.edgeIndex(p, nbr);
+                    link_quality += 1.0 - device.calibration()
+                                              .edge(std::size_t(e))
+                                              .cxError;
+                }
+                cost = -(link_quality + readoutSuccess(device, p));
+            } else {
+                for (const auto &[phys, w] : partners)
+                    cost += w * dist->distance(p, phys);
+                cost -= 0.01 * readoutSuccess(device, p);
+            }
+            if (cost < best_cost) {
+                best_cost = cost;
+                best = p;
+            }
+        }
+        QEDM_REQUIRE(best >= 0,
+                     "device has fewer qubits than the program needs");
+        map[l] = best;
+        used[best] = true;
+    }
+    placeIsolated(view, ig.isolatedQubits(), map);
+    return map;
+}
+
 /**
  * Everything placement scoring needs, built once per circuit: the
  * interaction pattern over active qubits, the decomposed gate trace,
@@ -229,82 +300,12 @@ Placer::rankedEmbeddings(const circuit::Circuit &logical,
 }
 
 std::vector<int>
-Placer::greedyPlace(const circuit::Circuit &logical) const
-{
-    const hw::Device &device = view_.device();
-    const InteractionGraph ig = interactionGraph(logical);
-    QEDM_REQUIRE(ig.numQubits <= device.numQubits(),
-                 "program needs more qubits than the device has");
-    QEDM_REQUIRE(ig.numQubits <= view_.numAllowed(),
-                 "program needs more qubits than the region allows");
-    const auto dist =
-        sharedDistanceProvider(view_, RouteCost::Reliability);
-    const auto &topo = view_.topology();
-
-    // Interacting qubits in order of decreasing degree.
-    std::vector<int> order;
-    for (int q = 0; q < ig.numQubits; ++q) {
-        if (ig.degree(q) > 0)
-            order.push_back(q);
-    }
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return ig.degree(a) > ig.degree(b);
-    });
-
-    std::vector<int> map(ig.numQubits, -1);
-    std::vector<bool> used(device.numQubits(), false);
-
-    for (int l : order) {
-        // Placed interaction partners of l, with weights.
-        std::vector<std::pair<int, int>> partners; // (physical, weight)
-        for (std::size_t e = 0; e < ig.edges.size(); ++e) {
-            const auto &[a, b] = ig.edges[e];
-            const int other = a == l ? b : (b == l ? a : -1);
-            if (other >= 0 && map[other] >= 0)
-                partners.emplace_back(map[other], ig.weights[e]);
-        }
-        int best = -1;
-        double best_cost = std::numeric_limits<double>::max();
-        for (int p = 0; p < device.numQubits(); ++p) {
-            if (used[p] || !view_.allowed(p))
-                continue;
-            double cost = 0.0;
-            if (partners.empty()) {
-                // Seed vertex: prefer well-connected, reliable regions.
-                double link_quality = 0.0;
-                for (int nbr : topo.neighbors(p)) {
-                    const int e = topo.edgeIndex(p, nbr);
-                    link_quality += 1.0 - device.calibration()
-                                              .edge(std::size_t(e))
-                                              .cxError;
-                }
-                cost = -(link_quality + readoutSuccess(device, p));
-            } else {
-                for (const auto &[phys, w] : partners)
-                    cost += w * dist->distance(p, phys);
-                cost -= 0.01 * readoutSuccess(device, p);
-            }
-            if (cost < best_cost) {
-                best_cost = cost;
-                best = p;
-            }
-        }
-        QEDM_REQUIRE(best >= 0,
-                     "device has fewer qubits than the program needs");
-        map[l] = best;
-        used[best] = true;
-    }
-    placeIsolated(view_, ig.isolatedQubits(), map);
-    return map;
-}
-
-std::vector<int>
 Placer::place(const circuit::Circuit &logical) const
 {
     const auto top = topPlacements(logical, 1);
     if (!top.empty())
         return top.front().map;
-    return greedyPlace(logical);
+    return greedyPlace(view_, logical);
 }
 
 } // namespace qedm::transpile

@@ -83,10 +83,6 @@ class Placer
     rankedEmbeddings(const circuit::Circuit &logical,
                      std::size_t limit = 20000) const;
 
-    /** Greedy reliability-aware placement (always succeeds). */
-    std::vector<int>
-    greedyPlace(const circuit::Circuit &logical) const;
-
     /** The view placements are scoped to. */
     const hw::DeviceView &view() const { return view_; }
 

@@ -1,11 +1,8 @@
 #include "transpile/transpiler.hpp"
 
-#include <functional>
-#include <optional>
 #include <set>
 #include <utility>
 
-#include "runtime/clock.hpp"
 #include "transpile/esp.hpp"
 #include "transpile/placer.hpp"
 
@@ -31,98 +28,26 @@ Transpiler::Transpiler(hw::DeviceView view, RouteCost cost, bool verify)
 {
 }
 
-namespace {
-
-/** Mutable state threaded through the pass list. */
-struct CompileContext
+CompiledProgram
+Transpiler::routeAndScore(const circuit::Circuit &logical,
+                          std::vector<int> initial_map) const
 {
-    const circuit::Circuit *logical = nullptr;
-    std::vector<int> initialMap;
-    std::optional<RouteResult> routed;
+    RouteResult routed = Router(view_, cost_).route(logical, initial_map);
     CompiledProgram out;
-};
-
-using PassFn = std::function<void(CompileContext &, PassMetadata &)>;
-
-} // namespace
-
-CompileTrace
-Transpiler::runPasses(const circuit::Circuit &logical,
-                      const std::vector<int> *initial_map) const
-{
-    std::vector<std::pair<std::string, PassFn>> passes;
-
-    if (initial_map == nullptr) {
-        passes.emplace_back(
-            "place", [this](CompileContext &ctx, PassMetadata &meta) {
-                ctx.initialMap = Placer(view_).place(*ctx.logical);
-                meta.metrics["placedQubits"] =
-                    static_cast<double>(ctx.initialMap.size());
-            });
-    }
-    passes.emplace_back(
-        "route", [this](CompileContext &ctx, PassMetadata &meta) {
-            Router router(view_, cost_);
-            ctx.routed = router.route(*ctx.logical, ctx.initialMap);
-            meta.metrics["swaps"] =
-                static_cast<double>(ctx.routed->swapCount);
-        });
-    passes.emplace_back(
-        "score", [this](CompileContext &ctx, PassMetadata &meta) {
-            ctx.out.initialMap = ctx.initialMap;
-            ctx.out.finalMap = std::move(ctx.routed->finalMap);
-            ctx.out.swapCount = ctx.routed->swapCount;
-            ctx.out.esp = esp(ctx.routed->physical, view_.device());
-            ctx.out.physical = std::move(ctx.routed->physical);
-            meta.metrics["esp"] = ctx.out.esp;
-        });
-    if (verify_) {
-        passes.emplace_back(
-            "check", [this](CompileContext &ctx, PassMetadata &meta) {
-                check::ProgramView view;
-                view.physical = &ctx.out.physical;
-                view.initialMap = &ctx.out.initialMap;
-                view.finalMap = &ctx.out.finalMap;
-                view.swapCount = ctx.out.swapCount;
-                view.esp = ctx.out.esp;
-                view.device = &view_.device();
-                view.logical = ctx.logical;
-                view.region = &view_;
-                meta.metrics["passesRun"] = static_cast<double>(
-                    check::verifyProgram(view));
-            });
-    }
-
-    CompileContext ctx;
-    ctx.logical = &logical;
-    if (initial_map != nullptr)
-        ctx.initialMap = *initial_map;
-
-    CompileTrace trace;
-    trace.passes.reserve(passes.size());
-    for (auto &[name, pass] : passes) {
-        PassMetadata meta;
-        meta.name = name;
-        const runtime::Clock &clock_src = runtime::steadyClock();
-        const double start_ms = clock_src.nowMs();
-        pass(ctx, meta);
-        meta.milliseconds = clock_src.nowMs() - start_ms;
-        trace.passes.push_back(std::move(meta));
-    }
-    trace.program = std::move(ctx.out);
-    return trace;
+    out.initialMap = std::move(initial_map);
+    out.finalMap = std::move(routed.finalMap);
+    out.swapCount = routed.swapCount;
+    out.esp = esp(routed.physical, view_.device());
+    out.physical = std::move(routed.physical);
+    if (verify_)
+        verifyCompiled(out, logical, view_);
+    return out;
 }
 
 CompiledProgram
 Transpiler::compile(const circuit::Circuit &logical) const
 {
-    return runPasses(logical, nullptr).program;
-}
-
-CompileTrace
-Transpiler::compileWithTrace(const circuit::Circuit &logical) const
-{
-    return runPasses(logical, nullptr);
+    return routeAndScore(logical, Placer(view_).place(logical));
 }
 
 CompiledProgram
@@ -130,7 +55,23 @@ Transpiler::compileWithPlacement(
     const circuit::Circuit &logical,
     const std::vector<int> &initial_map) const
 {
-    return runPasses(logical, &initial_map).program;
+    return routeAndScore(logical, initial_map);
+}
+
+void
+verifyCompiled(const CompiledProgram &program,
+               const circuit::Circuit &logical, const hw::DeviceView &view)
+{
+    check::ProgramView pv;
+    pv.physical = &program.physical;
+    pv.initialMap = &program.initialMap;
+    pv.finalMap = &program.finalMap;
+    pv.swapCount = program.swapCount;
+    pv.esp = program.esp;
+    pv.device = &view.device();
+    pv.logical = &logical;
+    pv.region = &view;
+    check::verifyProgram(pv);
 }
 
 } // namespace qedm::transpile

@@ -1,29 +1,21 @@
 /**
  * @file
- * End-to-end compilation facade: an explicit pass pipeline.
+ * End-to-end compilation facade.
  *
  * This is the "variation-aware quantum compiler" of the EDM pipeline's
  * step 1 (Section 5.2): from a logical circuit it produces a physical
- * executable plus the compile-time ESP estimate.
- *
- * Compilation runs as an ordered pass list — place -> route -> score —
- * over a shared CompileContext. Each pass reports per-pass metadata
- * (name, wall time, key metrics), which compile() discards and
- * compileWithTrace() returns, so callers and benches can attribute
- * compile cost to individual stages. The pass list is the seam later
- * passes (crosstalk-aware routing, twirling, scheduling) slot into.
+ * executable plus the compile-time ESP estimate, in straight-line
+ * order: place -> route -> score, then verify when enabled.
  *
  * When verification is enabled (always in debug builds, opt-in via
- * the verify flag in release) a final "check" pass runs the
- * qedm::check static verifiers over the compiled program and throws
- * check::CheckError on any violation; when disabled the pass is never
- * added, so release compilation pays zero cost.
+ * the verify flag in release) the compiled program goes through
+ * verifyCompiled(), which runs the qedm::check static verifiers and
+ * throws check::CheckError on any violation; when disabled nothing
+ * runs, so release compilation pays zero cost.
  */
 
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "check/check.hpp"
@@ -56,26 +48,6 @@ struct CompiledProgram
     std::vector<int> usedQubits() const;
 };
 
-/** Metadata reported by one compilation pass. */
-struct PassMetadata
-{
-    /** Pass name: "place", "route", "score", or "check" (the last
-     *  only when verification is enabled). */
-    std::string name;
-    /** Wall-clock time spent in the pass. */
-    double milliseconds = 0.0;
-    /** Pass-specific scalar metrics (e.g. route: "swaps"; score:
-     *  "esp"; place: "placedQubits"). */
-    std::map<std::string, double> metrics;
-};
-
-/** A compiled program together with its per-pass trace. */
-struct CompileTrace
-{
-    CompiledProgram program;
-    std::vector<PassMetadata> passes;
-};
-
 /** Variation-aware compiler for one device view. */
 class Transpiler
 {
@@ -93,7 +65,7 @@ class Transpiler
 
     /**
      * Region-scoped compiler: placement, routing, and measurements
-     * stay inside the view; the check pass rejects anything that
+     * stay inside the view; verification rejects anything that
      * leaves it. The caller keeps the viewed Device alive for the
      * compiler's lifetime.
      */
@@ -104,11 +76,8 @@ class Transpiler
     /** Compile with the variation-aware placer's best placement. */
     CompiledProgram compile(const circuit::Circuit &logical) const;
 
-    /** Compile and report per-pass metadata. */
-    CompileTrace compileWithTrace(const circuit::Circuit &logical) const;
-
-    /** Compile with a caller-supplied initial placement (the place
-     *  pass is skipped; the trace starts at "route"). */
+    /** Compile with a caller-supplied initial placement (placement
+     *  is skipped; routing starts from @p initial_map). */
     CompiledProgram
     compileWithPlacement(const circuit::Circuit &logical,
                          const std::vector<int> &initial_map) const;
@@ -118,12 +87,6 @@ class Transpiler
     const hw::DeviceView &view() const { return view_; }
     RouteCost routeCost() const { return cost_; }
 
-    /** True when the post-compile "check" pass is enabled. */
-    bool verifyEnabled() const { return verify_; }
-
-    /** Enable/disable the post-compile verifier pass. */
-    void setVerify(bool verify) { verify_ = verify; }
-
     /**
      * No effect: placement search is serial. Kept only because the
      * perfbench replay still calls it; remove with
@@ -132,13 +95,24 @@ class Transpiler
     void setScheduler(const runtime::JobScheduler * /*scheduler*/) {}
 
   private:
-    CompileTrace
-    runPasses(const circuit::Circuit &logical,
-              const std::vector<int> *initial_map) const;
+    /** Route from @p initial_map, score, and verify when enabled. */
+    CompiledProgram routeAndScore(const circuit::Circuit &logical,
+                                  std::vector<int> initial_map) const;
 
     hw::DeviceView view_;
     RouteCost cost_;
     bool verify_;
 };
+
+/**
+ * Run every qedm::check verifier over @p program, compiled from
+ * @p logical under @p view (the region its placement, gates and
+ * measures must stay inside). Throws check::CheckError on the first
+ * violation. The one place a compiled program is verified: the
+ * Transpiler and every ensemble transfer call it.
+ */
+void verifyCompiled(const CompiledProgram &program,
+                    const circuit::Circuit &logical,
+                    const hw::DeviceView &view);
 
 } // namespace qedm::transpile

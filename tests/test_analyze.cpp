@@ -467,6 +467,16 @@ TEST(Graph, BenchmarksMayNotIncludeSim)
     EXPECT_EQ(countRule(report.findings, "layering"), 1);
 }
 
+TEST(Graph, TranspileMayNotIncludeRuntime)
+{
+    // Compilation is straight-line and serial; no scheduler or clock.
+    const qa::Report report = qa::analyzeSources(
+        {{"src/transpile/a.cpp", "#include \"runtime/clock.hpp\"\n"},
+         {"src/runtime/clock.hpp", "#pragma once\nint x;\n"}},
+        nullptr, 1);
+    EXPECT_EQ(countRule(report.findings, "layering"), 1);
+}
+
 TEST(Graph, IncludeCycleIsFlagged)
 {
     const qa::Report report = qa::analyzeSources(

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "benchmarks/benchmarks.hpp"
 #include "check/check.hpp"
@@ -362,28 +363,76 @@ TEST(VerifyProgramTest, RunsEveryStandardPass)
     EXPECT_EQ(standardPasses().size(), 4u);
 }
 
+/** Writes clbit 0 twice: it places, routes and scores, and only the
+ *  measure checker rejects it, so it shows whether verification ran. */
+Circuit
+doubleClbitWrite()
+{
+    Circuit logical(2, 1);
+    logical.cx(0, 1).measure(0, 0).measure(1, 0);
+    return logical;
+}
+
+/** melbourne's qubits 0-6. */
+const std::vector<int> kRegion = {0, 1, 2, 3, 4, 5, 6};
+
+/** @p compile throws the measure checker's double-write error. */
+template <typename Fn>
+void
+expectDoubleWriteRejected(Fn &&compile, const std::string &what)
+{
+    try {
+        compile();
+        ADD_FAILURE() << what << ": double clbit write not rejected";
+    } catch (const CheckError &err) {
+        EXPECT_EQ(err.pass(), "measure") << what;
+        EXPECT_EQ(err.kind(), CheckErrorKind::ClbitMisuse) << what;
+        EXPECT_NE(std::string(err.what())
+                      .find("clbit 0 is written by more than one measure"),
+                  std::string::npos)
+            << what;
+    }
+}
+
 TEST(TranspilerHookTest, CheckPassRunsWhenVerifyEnabled)
 {
     const hw::Device device = hw::Device::melbourne(2);
-    const Transpiler verified(device, transpile::RouteCost::Reliability,
-                              true);
-    const auto trace =
-        verified.compileWithTrace(benchmarks::bv6().circuit);
-    ASSERT_EQ(trace.passes.size(), 4u);
-    EXPECT_EQ(trace.passes.back().name, "check");
-    EXPECT_EQ(trace.passes.back().metrics.at("passesRun"), 4.0);
+    const hw::DeviceView region(device, kRegion);
+    const Circuit logical = doubleClbitWrite();
+    const std::vector<int> placement = {0, 1};
+    const Transpiler on(region, transpile::RouteCost::Reliability, true);
+    expectDoubleWriteRejected([&] { on.compile(logical); }, "compile");
+    expectDoubleWriteRejected(
+        [&] { on.compileWithPlacement(logical, placement); },
+        "compileWithPlacement");
 }
 
 TEST(TranspilerHookTest, CheckPassAbsentWhenVerifyDisabled)
 {
     const hw::Device device = hw::Device::melbourne(2);
-    const Transpiler unverified(device,
-                                transpile::RouteCost::Reliability,
-                                false);
-    const auto trace =
-        unverified.compileWithTrace(benchmarks::bv6().circuit);
-    ASSERT_EQ(trace.passes.size(), 3u);
-    EXPECT_EQ(trace.passes.back().name, "score");
+    const hw::DeviceView region(device, kRegion);
+    const Circuit logical = doubleClbitWrite();
+    const std::vector<int> placement = {0, 1};
+    const Transpiler off(region, transpile::RouteCost::Reliability,
+                         false);
+    EXPECT_NO_THROW(off.compile(logical));
+    EXPECT_NO_THROW(off.compileWithPlacement(logical, placement));
+}
+
+TEST(TranspilerHookTest, VerifyCompiledRejectsStaleEsp)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const hw::DeviceView full(device);
+    const Circuit logical = benchmarks::bv6().circuit;
+    CompiledProgram program = compiledBv6(device);
+    EXPECT_NO_THROW(transpile::verifyCompiled(program, logical, full));
+    program.esp += 1e-6;
+    try {
+        transpile::verifyCompiled(program, logical, full);
+        FAIL() << "stale esp not rejected";
+    } catch (const CheckError &err) {
+        EXPECT_EQ(err.kind(), CheckErrorKind::EspMismatch);
+    }
 }
 
 TEST(TranspilerHookTest, VerifiedCompileMatchesUnverified)
@@ -412,6 +461,34 @@ TEST(EnsembleHookTest, VerifiedBuildProducesValidMembers)
     ASSERT_FALSE(members.empty());
     for (const auto &member : members)
         EXPECT_NO_THROW(verifyProgram(viewOf(member, device)));
+}
+
+TEST(EnsembleHookTest, VerifyPassesCheckSeedAndEveryTransfer)
+{
+    const hw::Device device = hw::Device::melbourne(2);
+    const Circuit logical = doubleClbitWrite();
+    core::EnsembleConfig config;
+    config.region = kRegion;
+    config.verifyPasses = false;
+    EXPECT_FALSE(core::EnsembleBuilder(device, config).build(logical)
+                     .empty());
+
+    config.verifyPasses = true;
+    expectDoubleWriteRejected(
+        [&] { core::EnsembleBuilder(device, config).build(logical); },
+        "build, seed compiled");
+
+    // A cached seed skips the compiler's check (the cache key ignores
+    // the verify flag), so only the per-transfer check can reject it.
+    transpile::CompileCache cache;
+    cache.getOrCompile(Transpiler(hw::DeviceView(device, kRegion),
+                                  config.routeCost, false),
+                       logical);
+    config.compileCache = &cache;
+    expectDoubleWriteRejected(
+        [&] { core::EnsembleBuilder(device, config).build(logical); },
+        "build, seed cached");
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(PipelineHookTest, EdmRunWithVerifyPassesEnabled)

@@ -70,7 +70,6 @@ TEST(Esp, IdealDeviceGivesOne)
     Circuit c(14, 2);
     c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
     EXPECT_DOUBLE_EQ(esp(c, device), 1.0);
-    EXPECT_DOUBLE_EQ(espCost(c, device), 0.0);
 }
 
 TEST(Esp, RejectsUncoupledTwoQubitGate)

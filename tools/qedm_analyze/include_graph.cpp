@@ -31,9 +31,7 @@ allowedDeps()
         {"check", {"common", "circuit", "hw"}},
         {"sim", {"common", "circuit", "hw", "stats"}},
         {"variational", {"common", "circuit", "hw", "stats"}},
-        // transpile uses runtime for the injectable wall clock that
-        // times its passes (runtime/clock.hpp).
-        {"transpile", {"common", "circuit", "hw", "check", "runtime"}},
+        {"transpile", {"common", "circuit", "hw", "check"}},
         {"benchmarks", {"common", "circuit"}},
         {"core",
          {"common", "stats", "circuit", "hw", "check", "sim",
